@@ -5,8 +5,7 @@ and fails the build the moment either guarantee slips:
 
 1. **Exact-mode identity** — a cascade whose scan is full-precision
    returns bitwise-identical ids, distances and ordering to the
-   one-shot linear path (``search_knn`` with ``use_index=False``), for
-   every pool size >= k.
+   one-shot linear path (``search_knn``), for every pool size >= k.
 2. **Quantized recall** — the default int8-scanned cascade retrieves at
    least 95% of the linear ground truth at k=10.
 
@@ -41,7 +40,7 @@ def main() -> None:
     truth = {
         sid: [
             (r.shape_id, r.distance, r.rank)
-            for r in engine.search_knn(sid, feature, k=k, use_index=False)
+            for r in engine.search_knn(sid, feature, k=k)
         ]
         for sid in query_ids
     }

@@ -24,8 +24,6 @@ class SystemConfig:
         Grid resolution N for voxelization/skeletonization.
     target_volume:
         Normalization constant C of Eq. 3.3.
-    index_max_entries:
-        R-tree node capacity M.
     weighting:
         Similarity weighting scheme ("range" or "uniform").
     browse_branching / browse_leaf_size:
@@ -35,10 +33,6 @@ class SystemConfig:
     feature_names: List[str] = field(default_factory=lambda: list(PAPER_FEATURES))
     voxel_resolution: int = DEFAULT_VOXEL_RESOLUTION
     target_volume: float = DEFAULT_TARGET_VOLUME
-    index_max_entries: int = 8
-    #: Per-feature-space R-tree shards for the 100k+ corpus tier; 0
-    #: (default) keeps one R-tree per feature space.
-    index_shards: int = 0
     weighting: str = RANGE_WEIGHTS
     browse_branching: int = 3
     browse_leaf_size: int = 6
@@ -92,10 +86,6 @@ class SystemConfig:
             raise ValueError("voxel resolution must be >= 2")
         if self.target_volume <= 0:
             raise ValueError("target volume must be positive")
-        if self.index_max_entries < 2:
-            raise ValueError("index node capacity must be >= 2")
-        if self.index_shards < 0:
-            raise ValueError("index shards must be >= 0")
         if self.browse_branching < 2:
             raise ValueError("browse branching must be >= 2")
         if self.browse_leaf_size < 1:

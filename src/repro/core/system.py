@@ -2,7 +2,7 @@
 
 ``ThreeDESS`` wires the INTERFACE operations (query by example, query by
 browsing, relevance feedback), the SERVER modules (feature extraction,
-clustering), and the DATABASE tier (record store + R-tree indexes)
+clustering), and the DATABASE tier (record store + packed feature columns)
 together, so an application works with one handle:
 
 >>> system = ThreeDESS()
@@ -12,7 +12,7 @@ together, so an application works with one handle:
 Queries go through one entry point — :meth:`ThreeDESS.search` with a
 declarative :class:`~repro.search.api.SearchRequest` — which returns a
 :class:`~repro.search.api.SearchResponse` carrying per-hit provenance
-(distance, similarity, degraded flag, index-vs-linear path).  The older
+(distance, similarity, degraded flag, linear-vs-cascade path).  The older
 ``query_by_example`` / ``query_by_threshold`` / ``multi_step`` methods
 were removed after their deprecation cycle (migration table in
 ``docs/API.md``).
@@ -89,11 +89,7 @@ class ThreeDESS:
                 store=store,
             )
         if database is None:
-            database = ShapeDatabase(
-                pipeline,
-                index_max_entries=self.config.index_max_entries,
-                index_shards=self.config.index_shards,
-            )
+            database = ShapeDatabase(pipeline)
         elif database.pipeline is None:
             database.pipeline = pipeline
         self.database = database
@@ -109,10 +105,9 @@ class ThreeDESS:
         name: Optional[str] = None,
         group: Optional[str] = None,
     ) -> int:
-        """Insert a shape: extract all feature vectors and index them."""
+        """Insert a shape: extract and store all its feature vectors."""
         with get_registry().timed("system.insert"):
             shape_id = self.database.insert_mesh(mesh, name=name, group=group)
-            self.engine.invalidate()
             self._hierarchies = {}
         return shape_id
 
@@ -148,7 +143,6 @@ class ThreeDESS:
                 retries=self.config.extraction_retries,
                 pool=self.config.extraction_pool,
             )
-            self.engine.invalidate()
             self._hierarchies = {}
         return result
 
@@ -173,7 +167,7 @@ class ThreeDESS:
         ``query_by_threshold`` (``mode="threshold"``), and ``multi_step``
         (``mode="multi_step"``) methods.  The response carries per-hit
         provenance: distance, Eq. 4.4 similarity, whether the record is
-        degraded, and the index-vs-linear retrieval path.  ``deadline``
+        degraded, and the linear-vs-cascade retrieval path.  ``deadline``
         (used by the query service) bounds the work cooperatively; an
         exhausted budget raises
         :class:`~repro.robust.DeadlineExceededError`.
@@ -252,8 +246,8 @@ class ThreeDESS:
         """Drain the job queue against this system's database.
 
         Executes queued ``re-extract`` jobs (healing degraded records in
-        place, indexes updated); search caches are invalidated when any
-        job completes, so subsequent queries see the healed vectors.
+        place); search caches key on the store generation, so subsequent
+        queries see the healed vectors.
         Returns the :class:`~repro.jobs.runner.JobRunReport`.
         """
         from ..jobs import RE_EXTRACT, JobQueue, JobRunner, ReextractHandler
@@ -274,7 +268,6 @@ class ThreeDESS:
             if owned:
                 q.close()
         if report.done:
-            self.engine.invalidate()
             self._hierarchies = {}
         return report
 
@@ -284,10 +277,9 @@ class ThreeDESS:
     def stats(self) -> Dict[str, object]:
         """Snapshot of the process-wide metrics registry.
 
-        Covers per-stage extraction timings, cache hit/miss counters,
-        query latencies, and index node accesses recorded since the last
-        :meth:`reset_stats` (see ``docs/OBSERVABILITY.md`` for the metric
-        catalog).  Metrics are process-local: concurrent systems in one
+        Covers per-stage extraction timings, cache hit/miss counters, and
+        query latencies recorded since the last :meth:`reset_stats` (see
+        ``docs/OBSERVABILITY.md`` for the metric catalog).  Metrics are process-local: concurrent systems in one
         process share the registry.
         """
         return get_registry().snapshot()
@@ -332,9 +324,7 @@ class ThreeDESS:
             directory,
             pipeline=pipeline,
             load_meshes=load_meshes,
-            index_max_entries=cfg.index_max_entries,
             strict=strict,
-            index_shards=cfg.index_shards,
         )
         return cls(config=cfg, database=db)
 

@@ -362,8 +362,7 @@ def build_synthetic_database(
     """Synthetic-vector database at arbitrary scale (no meshes).
 
     Every batch is a vectorized tail-append into the packed columnar
-    store; R-tree indexes are left unbuilt (call
-    :meth:`ShapeDatabase.rebuild_indexes` to bulk-load them).
+    store.
     """
     db = ShapeDatabase(pipeline=None)
     for names, groups, features in synthetic_vector_batches(

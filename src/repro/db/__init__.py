@@ -1,4 +1,4 @@
-"""Database tier: shape records, persistence, indexed + packed store."""
+"""Database tier: shape records, persistence, the packed feature store."""
 
 from .database import BulkInsertError, BulkInsertResult, ShapeDatabase
 from .matrix_store import ColumnView, FeatureMatrixStore

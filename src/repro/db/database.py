@@ -1,9 +1,14 @@
-"""The shape database: records + per-feature multidimensional indexes.
+"""The shape database: records + the packed per-feature matrix store.
 
 Mirrors the paper's DATABASE tier (Section 2.3): whenever a shape is
 inserted, a database ID is generated, all feature vectors are extracted
-and stored, and the R-tree index of every feature space is updated with
-the new (vector, ID) pair.
+and stored, and the (vector, ID) pair is appended to the packed column
+of every feature space.  The paper puts an R-tree over each feature
+space; here the exact vectorized scan over the packed columns answers
+every query (it needs no build and beat the R-tree on the measured
+serving paths, see ``docs/PERFORMANCE.md``), and
+:class:`~repro.index.RTree` remains a standalone artifact for the
+paper's index experiments.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ import numpy as np
 from ..features.parallel import ParallelPipeline
 from ..features.pipeline import FeaturePipeline
 from ..geometry.mesh import TriangleMesh
-from ..index.rtree import RTree
-from ..index.sharded import ShardedRTree
 from ..obs import get_registry
 from .matrix_store import ColumnView, FeatureMatrixStore
 from .quantized import QuantizedColumn
@@ -31,10 +34,6 @@ from .storage import (
     salvage_records,
     save_records,
 )
-
-#: Either index flavour; they share the query/mutation surface.
-AnyIndex = Union[RTree, ShardedRTree]
-
 
 @dataclass
 class BulkInsertError:
@@ -81,7 +80,7 @@ class BulkInsertResult:
 
 
 class ShapeDatabase:
-    """In-memory shape store with per-feature R-tree indexes.
+    """In-memory shape store over a packed columnar feature store.
 
     Parameters
     ----------
@@ -89,12 +88,6 @@ class ShapeDatabase:
         Feature-extraction pipeline run on every inserted mesh.  Databases
         restored from disk may pass ``pipeline=None`` and work purely from
         stored vectors (no new mesh inserts until a pipeline is attached).
-    index_max_entries:
-        R-tree node capacity.
-    index_shards:
-        When > 0, feature indexes are :class:`ShardedRTree` instances
-        with this many per-feature-space shards (the 100k+ tier);
-        ``0`` keeps the single R-tree per feature space.
 
     Feature vectors live twice: per record (the object path) and packed
     into the columnar :class:`FeatureMatrixStore` (one contiguous
@@ -107,19 +100,9 @@ class ShapeDatabase:
     lazily after ``update_features``/``delete``.
     """
 
-    def __init__(
-        self,
-        pipeline: Optional[FeaturePipeline] = None,
-        index_max_entries: int = 8,
-        index_shards: int = 0,
-    ) -> None:
-        if index_shards < 0:
-            raise ValueError(f"index_shards must be >= 0, got {index_shards}")
+    def __init__(self, pipeline: Optional[FeaturePipeline] = None) -> None:
         self.pipeline = pipeline
-        self.index_max_entries = int(index_max_entries)
-        self.index_shards = int(index_shards)
         self._records: Dict[int, ShapeRecord] = {}
-        self._indexes: Dict[str, AnyIndex] = {}
         self._matrix_store = FeatureMatrixStore()
         self._next_id = 1
         #: Records dropped by the last ``load(..., strict=False)`` salvage.
@@ -170,7 +153,7 @@ class ShapeDatabase:
         group: Optional[str] = None,
         metadata: Optional[Dict[str, str]] = None,
     ) -> int:
-        """Insert a mesh: extract all pipeline features, index, return ID."""
+        """Insert a mesh: extract all pipeline features, store, return ID."""
         if self.pipeline is None:
             raise RuntimeError(
                 "database has no feature pipeline; use insert_record or "
@@ -305,19 +288,15 @@ class ShapeDatabase:
         features: Dict[str, np.ndarray],
         failures: Optional[Dict[str, "object"]] = None,
     ) -> None:
-        """Swap a record's feature vectors in place, maintaining indexes.
+        """Swap a record's feature vectors in place.
 
-        Old vectors are de-indexed, the new set indexed; the degraded
+        The packed store's rows are replaced with the new set; the degraded
         markers (``metadata["degraded"]`` / ``missing.*``) are rewritten
         from ``failures`` (cleared when the new set is complete).  The
         record keeps its id, name, group, and geometry — search results
         change only through the healed vectors.
         """
         record = self.get(shape_id)
-        for fname, vec in record.features.items():
-            index = self._indexes.get(fname)
-            if index is not None:
-                index.delete(vec, shape_id)
         record.features = {
             fname: self._canon(vec) for fname, vec in features.items()
         }
@@ -334,8 +313,6 @@ class ShapeDatabase:
         self._matrix_store.replace(
             shape_id, record.features, degraded=record.is_degraded()
         )
-        for fname, vec in record.features.items():
-            self._index_for(fname, len(vec)).insert(vec, shape_id)
 
     def reextract_record(self, shape_id: int) -> Dict[str, np.ndarray]:
         """Re-run *full* extraction for one record and heal it in place.
@@ -380,12 +357,8 @@ class ShapeDatabase:
         return record.shape_id
 
     def delete(self, shape_id: int) -> None:
-        """Remove a record and de-index its feature vectors."""
-        record = self.get(shape_id)
-        for fname, vec in record.features.items():
-            index = self._indexes.get(fname)
-            if index is not None:
-                index.delete(vec, shape_id)
+        """Remove a record and its packed feature rows."""
+        self.get(shape_id)  # KeyError when absent
         self._matrix_store.delete(shape_id)
         del self._records[shape_id]
 
@@ -399,52 +372,16 @@ class ShapeDatabase:
             fname: self._canon(vec) for fname, vec in record.features.items()
         }
         self._records[record.shape_id] = record
-        degraded = record.is_degraded()
-        for fname, vec in record.features.items():
-            self._index_for(fname, len(vec)).insert(vec, record.shape_id)
-            if register_rows:
+        if register_rows:
+            degraded = record.is_degraded()
+            for fname, vec in record.features.items():
                 self._matrix_store.append(
                     fname, record.shape_id, vec, degraded=degraded
                 )
 
-    def _make_index(self, dim: int) -> AnyIndex:
-        if self.index_shards > 0:
-            return ShardedRTree(
-                dim,
-                shards=self.index_shards,
-                max_entries=self.index_max_entries,
-            )
-        return RTree(dim, max_entries=self.index_max_entries)
-
-    def _index_for(self, feature_name: str, dim: int) -> AnyIndex:
-        index = self._indexes.get(feature_name)
-        if index is None:
-            index = self._make_index(dim)
-            self._indexes[feature_name] = index
-        if index.dim != dim:
-            raise ValueError(
-                f"feature {feature_name!r} dimension mismatch: index has "
-                f"{index.dim}, vector has {dim}"
-            )
-        return index
-
     # ------------------------------------------------------------------
-    # Feature-space queries (used by the search engine)
+    # Feature-space access (used by the search engine)
     # ------------------------------------------------------------------
-    def has_index(self, feature_name: str) -> bool:
-        """Whether an R-tree exists for one feature space."""
-        return feature_name in self._indexes
-
-    def index(self, feature_name: str) -> AnyIndex:
-        """The R-tree (or sharded R-tree) over one feature space."""
-        try:
-            return self._indexes[feature_name]
-        except KeyError as exc:
-            raise KeyError(
-                f"no index for feature {feature_name!r}; "
-                f"have {sorted(self._indexes)}"
-            ) from exc
-
     @property
     def matrix_store(self) -> FeatureMatrixStore:
         """The packed columnar store behind ``feature_matrix``."""
@@ -523,10 +460,6 @@ class ShapeDatabase:
         batch is a vectorized tail-append into the packed store, and the
         created records' vectors are *views into the store* — the corpus
         is held once, not once per record.
-
-        R-tree indexes are NOT maintained by this path: any existing
-        indexes are dropped (queries fall back to the linear scan, which
-        is exact) until :meth:`rebuild_indexes` bulk-loads them.
         """
         n = len(names)
         if len(groups) != n:
@@ -549,9 +482,6 @@ class ShapeDatabase:
             self._matrix_store.extend(fname, ids, features[fname], degraded)
             view = self._matrix_store.view(fname)
             row_views[fname] = (view.matrix, len(view) - n)
-        # Incremental R-trees are not updated on this path; drop them so
-        # a stale index can never silently miss the new shapes.
-        self._indexes = {}
         flags = (
             np.zeros(n, dtype=bool)
             if degraded is None
@@ -575,28 +505,6 @@ class ShapeDatabase:
             )
             out.append(sid)
         return out
-
-    def nearest(
-        self,
-        feature_name: str,
-        query: np.ndarray,
-        k: int,
-        weights: Optional[np.ndarray] = None,
-    ) -> List[Tuple[int, float]]:
-        """k-NN over one feature space via the R-tree."""
-        return self.index(feature_name).nearest(query, k=k, weights=weights)
-
-    def within_radius(
-        self,
-        feature_name: str,
-        query: np.ndarray,
-        radius: float,
-        weights: Optional[np.ndarray] = None,
-    ) -> List[Tuple[int, float]]:
-        """All shapes within a feature-space radius via the R-tree."""
-        return self.index(feature_name).radius_search(
-            query, radius, weights=weights
-        )
 
     # ------------------------------------------------------------------
     # Ground truth helpers (Section 4 evaluation)
@@ -637,12 +545,10 @@ class ShapeDatabase:
         directory: Union[str, os.PathLike],
         pipeline: Optional[FeaturePipeline] = None,
         load_meshes: bool = True,
-        index_max_entries: int = 8,
         strict: bool = True,
-        index_shards: int = 0,
         mmap_features: bool = True,
     ) -> "ShapeDatabase":
-        """Restore a database directory, rebuilding all indexes.
+        """Restore a database directory.
 
         ``strict=True`` (default) raises :class:`~repro.db.storage.StorageError`
         on any integrity violation.  ``strict=False`` salvages every intact
@@ -656,11 +562,7 @@ class ShapeDatabase:
         the tier (or with a corrupt one, under salvage) rebuild the
         store from the records.
         """
-        db = cls(
-            pipeline=pipeline,
-            index_max_entries=index_max_entries,
-            index_shards=index_shards,
-        )
+        db = cls(pipeline=pipeline)
         dropped: List[DroppedRecord] = []
         if strict:
             records = load_records(directory, load_meshes=load_meshes)
@@ -735,32 +637,3 @@ class ShapeDatabase:
             ):
                 return False
         return True
-
-    def rebuild_indexes(self, bulk: bool = True) -> None:
-        """Rebuild every feature index (STR bulk load by default).
-
-        With ``index_shards > 0`` the bulk path builds one
-        :class:`ShardedRTree` per feature space straight from the packed
-        matrix views; otherwise a single STR-packed :class:`RTree`.
-        """
-        self._indexes = {}
-        if not self._records:
-            return
-        if not bulk:
-            for rec in self:
-                for fname, vec in rec.features.items():
-                    self._index_for(fname, len(vec)).insert(vec, rec.shape_id)
-            return
-        for fname in self.feature_names():
-            view = self.feature_view(fname)
-            if self.index_shards > 0:
-                self._indexes[fname] = ShardedRTree.bulk_load(
-                    view.matrix,
-                    view.id_list,
-                    shards=self.index_shards,
-                    max_entries=self.index_max_entries,
-                )
-            else:
-                self._indexes[fname] = RTree.bulk_load(
-                    view.matrix, view.id_list, max_entries=self.index_max_entries
-                )

@@ -13,7 +13,7 @@ harness times the hot paths the system actually runs —
   fork-per-task strategy, identical-outcome asserted),
 * the **extraction stages** (normalize / voxelize / skeletonize medians,
   straight from the ``repro.obs`` timers),
-* **query latency** (indexed k-NN vs the vectorized linear fallback),
+* **query latency** (k-NN through the exact vectorized scan),
 * **service latency** (HTTP round-trip p50/p99 through an in-process
   ``three-dess serve`` daemon under 1/4/16 concurrent clients, plus a
   cold-connection vs keep-alive comparison), and
@@ -46,7 +46,7 @@ from ..search.engine import SearchEngine
 from ..skeleton.thinning import thin
 from ..voxel.voxelize import voxelize
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Extraction-stage histograms copied from the obs registry into the
 #: report (`median` = p50 over all observations of the serial run).
@@ -272,28 +272,20 @@ def bench_query(
     k: int = 10,
     repeats: int = 20,
 ) -> Dict[str, object]:
-    """Indexed k-NN latency vs the vectorized linear-scan fallback."""
+    """k-NN latency of the exact linear scan."""
     engine = SearchEngine(db)
     ids = db.ids()
     queries = ids[:: max(1, len(ids) // repeats)][:repeats]
-
-    def run(use_index: bool) -> List[float]:
-        out = []
-        for shape_id in queries:
-            start = time.perf_counter()
-            engine.search_knn(shape_id, feature_name, k=k, use_index=use_index)
-            out.append(time.perf_counter() - start)
-        return out
-
     engine.search_knn(queries[0], feature_name, k=k)  # warm measure cache
-    indexed = run(use_index=True)
-    linear = run(use_index=False)
+    linear = []
+    for shape_id in queries:
+        start = time.perf_counter()
+        engine.search_knn(shape_id, feature_name, k=k)
+        linear.append(time.perf_counter() - start)
     return {
         "feature": feature_name,
         "k": k,
         "queries": len(queries),
-        "indexed_median_s": _median(indexed),
-        "indexed_p90_s": float(np.percentile(indexed, 90)),
         "linear_median_s": _median(linear),
         "linear_p90_s": float(np.percentile(linear, 90)),
     }
@@ -430,17 +422,13 @@ def bench_scale(
     k: int = 10,
     queries: int = 40,
     seed: int = 42,
-    index_limit: int = 20000,
 ) -> Dict[str, object]:
     """Packed-store scaling curve over synthetic-vector corpora.
 
     Per corpus size: bulk-append build time, process RSS high-water
     (``ru_maxrss`` — monotone across sizes, so the interesting number is
     the delta row to row), packed-store rows/bytes, and k-NN latency
-    p50/p99 through the zero-copy linear scan.  Corpora at or below
-    ``index_limit`` also time an R-tree bulk load and indexed queries
-    (per-node costs make the index the wrong tool at the top sizes —
-    that, measured, is the point of the section).
+    p50/p99 through the zero-copy linear scan.
     """
     import resource
 
@@ -461,18 +449,13 @@ def bench_scale(
         query_ids = ids[::step][:queries]
         # Warm the per-generation measure cache (weights + d_max) so the
         # timed loop measures the scan, not one-off setup.
-        engine.search_knn(query_ids[0], feature_name, k=k, use_index=False)
-
-        def run_queries(use_index: bool) -> List[float]:
-            out = []
-            for sid in query_ids:
-                start = time.perf_counter()
-                engine.search_knn(sid, feature_name, k=k, use_index=use_index)
-                out.append(time.perf_counter() - start)
-            return out
-
-        linear = run_queries(use_index=False)
-        row: Dict[str, object] = {
+        engine.search_knn(query_ids[0], feature_name, k=k)
+        linear = []
+        for sid in query_ids:
+            start = time.perf_counter()
+            engine.search_knn(sid, feature_name, k=k)
+            linear.append(time.perf_counter() - start)
+        rows.append({
             "n_shapes": size,
             "build_s": build_s,
             "rss_high_water_mb": rss_mb(),
@@ -481,32 +464,12 @@ def bench_scale(
             "queries": len(query_ids),
             "linear_p50_ms": _median(linear) * 1e3,
             "linear_p99_ms": float(np.percentile(linear, 99)) * 1e3,
-        }
-        if size <= index_limit:
-            index_start = time.perf_counter()
-            db.rebuild_indexes()
-            index_build_s = time.perf_counter() - index_start
-            index = db.index(feature_name)
-            index.reset_stats()
-            indexed = run_queries(use_index=True)
-            row["index"] = {
-                "build_s": index_build_s,
-                "p50_ms": _median(indexed) * 1e3,
-                "p99_ms": float(np.percentile(indexed, 99)) * 1e3,
-                "node_accesses_per_query": index.node_accesses / len(query_ids),
-            }
-        else:
-            row["index"] = {
-                "skipped": True,
-                "reason": f"index build skipped above {index_limit} shapes",
-            }
-        rows.append(row)
+        })
         del engine, store, db
     return {
         "feature": feature_name,
         "k": k,
         "seed": seed,
-        "index_limit": index_limit,
         "sizes": rows,
     }
 
@@ -523,7 +486,7 @@ def bench_cascade(
 
     Per corpus size: the exact-mode equivalence check (a cascade with a
     full-precision scan must return bitwise-identical ids, distances and
-    ordering to ``search_knn(use_index=False)``), the quantized
+    ordering to ``search_knn``), the quantized
     cascade's recall@k against the linear ground truth as the survivor
     pool grows, and p50/p99 latency of both paths.  Recall measures pool
     membership only — stage 2 recomputes distances at full precision, so
@@ -541,15 +504,13 @@ def bench_cascade(
         query_ids = ids[::step][:queries]
         # Warm the measure cache and the quantized sidecar so the timed
         # loops measure scans, not one-off builds.
-        engine.search_knn(query_ids[0], feature_name, k=k, use_index=False)
+        engine.search_knn(query_ids[0], feature_name, k=k)
         db.quantized_view(feature_name)
 
         truth = {
             sid: [
                 (r.shape_id, r.distance)
-                for r in engine.search_knn(
-                    sid, feature_name, k=k, use_index=False
-                )
+                for r in engine.search_knn(sid, feature_name, k=k)
             ]
             for sid in query_ids
         }
@@ -593,7 +554,7 @@ def bench_cascade(
         linear_times: List[float] = []
         for sid in query_ids:
             start = time.perf_counter()
-            engine.search_knn(sid, feature_name, k=k, use_index=False)
+            engine.search_knn(sid, feature_name, k=k)
             linear_times.append(time.perf_counter() - start)
 
         column = db.quantized_view(feature_name)
@@ -779,8 +740,7 @@ def format_summary(report: Dict[str, object]) -> str:
     lines.append("")
     lines.append(
         f"query ({query['feature']}, k={query['k']}): "
-        f"indexed {query['indexed_median_s'] * 1e3:.2f} ms median, "
-        f"linear fallback {query['linear_median_s'] * 1e3:.2f} ms median"
+        f"linear scan {query['linear_median_s'] * 1e3:.2f} ms median"
     )
     service = report.get("service")
     if service:
@@ -815,19 +775,11 @@ def format_summary(report: Dict[str, object]) -> str:
             f"scale ({scale['feature']}, k={scale['k']}, synthetic corpus):"
         )
         for row in scale["sizes"]:
-            index = row["index"]
-            if index.get("skipped"):
-                index_part = "index skipped"
-            else:
-                index_part = (
-                    f"index build {index['build_s']:.2f} s, "
-                    f"p50 {index['p50_ms']:.2f} ms"
-                )
             lines.append(
                 f"  n={row['n_shapes']:>7d}: build {row['build_s']:6.2f} s, "
                 f"rss {row['rss_high_water_mb']:7.1f} MB, "
                 f"linear p50 {row['linear_p50_ms']:6.2f} ms "
-                f"p99 {row['linear_p99_ms']:6.2f} ms, {index_part}"
+                f"p99 {row['linear_p99_ms']:6.2f} ms"
             )
     cascade = report.get("cascade")
     if cascade:

@@ -1,16 +1,18 @@
-"""Multidimensional indexing: R-tree, sharded R-tree, linear baseline."""
+"""Multidimensional indexing: the paper's R-tree and a linear baseline.
+
+Neither sits on the query path (searches scan the packed store, see
+:mod:`repro.search.engine`); they back the paper's index-efficiency
+experiments and the R-tree tests.
+"""
 
 from .bruteforce import LinearScanIndex
 from .rect import Rect, bounding_rect
 from .rtree import DEFAULT_MAX_ENTRIES, RTree
-from .sharded import DEFAULT_SHARDS, ShardedRTree
 
 __all__ = [
     "Rect",
     "bounding_rect",
     "RTree",
-    "ShardedRTree",
     "LinearScanIndex",
     "DEFAULT_MAX_ENTRIES",
-    "DEFAULT_SHARDS",
 ]

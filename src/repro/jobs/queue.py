@@ -1,7 +1,7 @@
 """A durable background job queue over a JSON-lines journal.
 
-Index maintenance work — re-extracting degraded records, rebuilding
-stale indexes — must survive the process that scheduled it.  The queue
+Background maintenance work — re-extracting degraded records, warming
+caches — must survive the process that scheduled it.  The queue
 therefore journals every state transition as one appended JSON line::
 
     {"job_id": "job-000001", "type": "re-extract", "state": "running", ...}

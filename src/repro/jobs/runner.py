@@ -139,7 +139,7 @@ class ReextractHandler:
 
     The job payload names the record (``{"shape_id": N}``); the handler
     re-runs *full* extraction over the stored geometry and swaps the
-    healed feature vectors into the database in place (indexes updated).
+    healed feature vectors into the database in place.
     Raises — failing the job — when the record is gone, carries no
     geometry, or extraction still cannot produce the full set.
 

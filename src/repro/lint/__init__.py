@@ -6,7 +6,6 @@ the cross-cutting contracts earlier PRs established by convention:
 * ``RPL001`` — broad ``except`` must re-raise or classify;
 * ``RPL002`` — metric names must be declared in :mod:`repro.obs.catalog`;
 * ``RPL003`` — exit codes come from an ``ExitCode`` enum, not literals;
-* ``RPL004`` — no internal callers of the deprecated facade queries;
 * ``RPL005`` — job handlers / pool factories must be picklable;
 * ``RPL006`` — pipeline-stage raises use the error taxonomy;
 * ``RPL007`` — no internal callers of the ``mode="multi_step"`` shim.

@@ -19,12 +19,6 @@ __all__: List[str] = []
 #: whose first argument is a metric name.
 _METRIC_SINKS = frozenset({"inc", "counter", "gauge", "histogram", "timed"})
 
-#: Deprecated facade query methods (PR 4 replaced them with
-#: ``ThreeDESS.search(SearchRequest)``).
-_DEPRECATED_FACADE = frozenset(
-    {"query_by_example", "query_by_threshold", "multi_step"}
-)
-
 #: Pipeline-stage packages whose raises must use the robust taxonomy.
 _STAGE_PACKAGES = ("/voxel/", "/skeleton/", "/features/", "/geometry/")
 
@@ -279,31 +273,6 @@ def check_exit_codes(module: ModuleSource) -> Iterator[Diagnostic]:
             node,
             f"{detail}; use a member of the `ExitCode` enum",
         )
-
-
-# ----------------------------------------------------------------------
-# RPL004 — no internal callers of the deprecated facade queries
-# ----------------------------------------------------------------------
-@rule(
-    "RPL004",
-    "deprecated-facade-call",
-    "internal code must not call the deprecated `query_by_example` / "
-    "`query_by_threshold` / `multi_step` facade methods",
-)
-def check_deprecated_facade(module: ModuleSource) -> Iterator[Diagnostic]:
-    for node in ast.walk(module.tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _DEPRECATED_FACADE
-        ):
-            yield _diag(
-                module,
-                "RPL004",
-                node,
-                f"call to deprecated facade method `{node.func.attr}`; "
-                "use `ThreeDESS.search(SearchRequest(...))`",
-            )
 
 
 # ----------------------------------------------------------------------

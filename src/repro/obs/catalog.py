@@ -275,22 +275,14 @@ CATALOG: Tuple[MetricSpec, ...] = (
         "search.queries",
         "counter",
         "search/engine.py",
-        "queries issued (k-NN + threshold, indexed or linear)",
-        _SEARCH,
-    ),
-    MetricSpec(
-        "search.linear_fallback",
-        "counter",
-        "search/engine.py",
-        "queries answered by the vectorized linear scan (`use_index=False` "
-        "or no index built)",
+        "queries issued (k-NN + threshold)",
         _SEARCH,
     ),
     MetricSpec(
         "search.candidates_examined",
         "counter",
         "search/engine.py",
-        "candidates returned by the index or scored during rerank",
+        "candidates returned by the scan or scored during rerank",
         _SEARCH,
     ),
     MetricSpec(
@@ -848,13 +840,6 @@ CATALOG: Tuple[MetricSpec, ...] = (
         "derived",
         "obs/registry.py",
         "`search.candidates_examined / search.queries`",
-        _DERIVED,
-    ),
-    MetricSpec(
-        "index.rtree.node_accesses_per_query",
-        "derived",
-        "obs/registry.py",
-        "`index.rtree.node_accesses / search.queries`",
         _DERIVED,
     ),
 )

@@ -2,11 +2,11 @@
 
 The 3DESS pipeline spans three tiers (interface, server, database) and
 its cost is dominated by a handful of hot sections — normalization,
-voxelization, thinning, index traversal.  This module gives every tier a
+voxelization, thinning, the feature scan.  This module gives every tier a
 shared, dependency-free place to record where time goes:
 
 * :class:`Counter` — monotonically increasing event counts (cache hits,
-  R-tree node accesses, candidates examined).
+  candidates examined).
 * :class:`Gauge` — last-written values (cache size).
 * :class:`Histogram` — latency distributions with a bounded reservoir,
   exposing count/total/mean/min/max and p50/p90/p99.
@@ -370,8 +370,6 @@ class MetricsRegistry:
         examined = counters.get("search.candidates_examined", 0)
         if queries:
             derived["search.candidates_per_query"] = examined / queries
-            accesses = counters.get("index.rtree.node_accesses", 0)
-            derived["index.rtree.node_accesses_per_query"] = accesses / queries
         return derived
 
     def render_table(self) -> str:

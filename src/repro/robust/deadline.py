@@ -2,7 +2,7 @@
 
 A :class:`Deadline` is an absolute point on the monotonic clock.  Code
 that honours one calls :meth:`Deadline.check` at stage boundaries —
-between query resolution, index probe, and rerank steps — and the check
+between query resolution, scan, and rerank steps — and the check
 raises :class:`DeadlineExceededError` once the budget is spent.  The
 model is cooperative: a check cannot preempt a CPU-bound numpy call that
 is already running, it bounds how much *further* work is started.

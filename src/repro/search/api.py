@@ -12,7 +12,7 @@ The response carries per-hit *provenance* the legacy methods never
 exposed: the raw distance and the Eq. 4.4 similarity side by side,
 whether the hit is a degraded record (partial feature set — see
 ``docs/ROBUSTNESS.md``), and whether the retrieval ran through the
-R-tree index or the vectorized linear-scan fallback.
+exact linear scan or a staged cascade.
 
 The legacy facade methods (``query_by_example`` / ``query_by_threshold``
 / ``multi_step``) were removed after a one-PR deprecation cycle; the
@@ -81,11 +81,10 @@ class SearchRequest:
     exclude_query:
         Drop the query shape itself from the ranking when the query is a
         database ID (the paper never counts it).
-    use_index:
-        Permit the R-tree index; ``False`` forces the linear scan (the
-        engine also falls back on its own when a space has no index).
-        Cascade stages always run against the packed/quantized columnar
-        store and never probe an index.
+
+    ``knn`` and ``threshold`` always run the exact linear scan over the
+    packed columnar store; cascade stages run against the packed and
+    quantized columns.
     """
 
     query: Query
@@ -96,7 +95,6 @@ class SearchRequest:
     steps: Optional[Tuple[Tuple[str, int], ...]] = None
     strategy: Optional[CascadeStrategy] = None
     exclude_query: bool = True
-    use_index: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in SEARCH_MODES:
@@ -138,10 +136,10 @@ class SearchHit:
     Extends the legacy :class:`SearchResult` tuple of (id, distance,
     similarity, rank) with where the hit came from: ``degraded`` flags a
     record carrying only a partial feature set, ``path`` records whether
-    this retrieval went through the R-tree (``"index"``), the vectorized
-    linear scan (``"linear"``), or a staged cascade (``"cascade"``),
-    and ``stage`` is the 1-based cascade stage whose score this hit
-    carries (0 outside cascade retrievals).
+    this retrieval went through the exact linear scan (``"linear"``) or
+    a staged cascade (``"cascade"``), and ``stage`` is the 1-based
+    cascade stage whose score this hit carries (0 outside cascade
+    retrievals).
     """
 
     shape_id: int
@@ -151,7 +149,7 @@ class SearchHit:
     name: str = ""
     group: Optional[str] = None
     degraded: bool = False
-    path: str = "index"
+    path: str = "linear"
     stage: int = 0
 
 
@@ -161,8 +159,8 @@ class SearchResponse:
 
     request: SearchRequest
     hits: Tuple[SearchHit, ...] = ()
-    #: Retrieval path: "index", "linear", or "cascade".
-    path: str = "index"
+    #: Retrieval path: "linear" or "cascade".
+    path: str = "linear"
     #: Per-stage provenance of a cascade retrieval (empty otherwise):
     #: candidates in/out, degraded survivors and elapsed time per stage.
     stages: Tuple[StageReport, ...] = ()
@@ -191,15 +189,6 @@ class SearchResponse:
             )
             for hit in self.hits
         ]
-
-
-def _retrieval_path(
-    engine: SearchEngine, feature_name: str, use_index: bool
-) -> str:
-    """Mirror the engine's index-vs-linear dispatch for provenance."""
-    if use_index and engine.database.has_index(feature_name):
-        return "index"
-    return "linear"
 
 
 def execute_search(
@@ -266,23 +255,19 @@ def execute_search(
             stages=outcome.reports,
         )
     if request.mode == "knn":
-        path = _retrieval_path(engine, request.feature_name, request.use_index)
         results = engine.search_knn(
             request.query,
             request.feature_name,
             k=request.k,
             exclude_query=request.exclude_query,
-            use_index=request.use_index,
             deadline=deadline,
         )
     else:  # threshold
-        path = _retrieval_path(engine, request.feature_name, request.use_index)
         results = engine.search_threshold(
             request.query,
             request.feature_name,
             threshold=request.threshold,
             exclude_query=request.exclude_query,
-            use_index=request.use_index,
             deadline=deadline,
         )
     hits = tuple(
@@ -294,8 +279,8 @@ def execute_search(
             name=r.name,
             group=r.group,
             degraded=engine.database.get(r.shape_id).is_degraded(),
-            path=path,
+            path="linear",
         )
         for r in results
     )
-    return SearchResponse(request=request, hits=hits, path=path)
+    return SearchResponse(request=request, hits=hits, path="linear")

@@ -19,11 +19,11 @@ cheaper per candidate than the next is accurate:
 
 Correctness contract: a cascade whose scan is exact and whose rerank
 uses the same feature vector returns **bitwise-identical ids, distances
-and ordering** to the one-shot linear path (``search_knn`` with
-``use_index=False``) for any pool size >= k.  The quantized scan trades
-that identity for bandwidth; stage 2 always recomputes distances at
-full precision, so quantization error can only cost pool membership,
-never distort a reported distance.
+and ordering** to the one-shot linear path (``search_knn``) for any
+pool size >= k.  The quantized scan trades that identity for
+bandwidth; stage 2 always recomputes distances at full precision, so
+quantization error can only cost pool membership, never distort a
+reported distance.
 
 Every stage emits a :class:`StageReport` (candidates in/out, elapsed,
 degraded survivors) that flows into staged provenance on the API and
@@ -251,8 +251,7 @@ class CascadeStrategy:
 
         The first (feature, keep) step becomes an exact scan, every
         later step a rerank — semantics identical to
-        :func:`repro.search.multistep.multi_step_search` on the linear
-        path.
+        :func:`repro.search.multistep.multi_step_search`.
         """
         if len(steps) < 1:
             raise ValueError("from_steps needs at least one (feature, keep) step")

@@ -2,8 +2,16 @@
 
 The engine resolves a query (a shape already in the database, a fresh
 mesh, or a raw feature vector), fetches or extracts the requested feature
-vector, searches the multidimensional index, and returns ranked results
+vector, scans the packed feature column, and returns ranked results
 with both the raw distance and the normalized similarity of Eq. 4.4.
+
+k-NN and threshold queries have one retrieval path: an exact vectorized
+scan over the packed columnar store, ranked by (distance, shape id).
+The paper's Fig. 2 puts an R-tree here; the scan needs no build, beat
+the R-tree on the measured serving paths (``docs/PERFORMANCE.md``) and
+breaks ties deterministically, so the R-tree (:class:`~repro.index.RTree`)
+survives only as a standalone artifact for the paper's index-efficiency
+experiments.
 """
 
 from __future__ import annotations
@@ -76,13 +84,6 @@ class SearchEngine:
             )
             self._measures[feature_name] = cached
         return cached[1]
-
-    def invalidate(self) -> None:
-        """Drop cached similarity measures.
-
-        Kept for API compatibility; the generation-keyed cache in
-        :meth:`measure` already refreshes itself after mutations."""
-        self._measures = {}
 
     # ------------------------------------------------------------------
     def resolve_query_vector(self, query: Query, feature_name: str) -> np.ndarray:
@@ -164,29 +165,22 @@ class SearchEngine:
 
         When the query is a database ID and ``exclude_query`` is set, the
         query shape itself is dropped from the ranking (the paper never
-        counts it — it is guaranteed to be retrieved).  With
-        ``use_index=False`` — or when the feature space has no index,
-        e.g. a database restored without one — the engine falls back to a
-        vectorized linear scan with identical results.  A ``deadline`` is
+        counts it — it is guaranteed to be retrieved).  Ranking is the
+        exact scan's (distance, shape id) order.  A ``deadline`` is
         checked cooperatively at stage boundaries (resolve / probe /
         build) and aborts the query with
         :class:`~repro.robust.DeadlineExceededError` once spent.
+        ``use_index`` is accepted and ignored (the index path is gone;
+        older callers still pass it).
         """
         metrics = get_registry()
         with metrics.timed("search.knn"):
             _check_deadline(deadline, "resolve_query")
             vec = self.resolve_query_vector(query, feature_name)
             _check_deadline(deadline, "index_probe")
-            measure = self.measure(feature_name)
             exclude = int(query) if isinstance(query, (int, np.integer)) and exclude_query else None
             extra = 1 if exclude is not None else 0
-            if use_index and self.database.has_index(feature_name):
-                pairs = self.database.nearest(
-                    feature_name, vec, k=k + extra, weights=measure.weights
-                )
-            else:
-                metrics.inc("search.linear_fallback")
-                pairs = self._linear_knn(feature_name, vec, k + extra)
+            pairs = self._linear_knn(feature_name, vec, k + extra)
             metrics.inc("search.queries")
             metrics.inc("search.candidates_examined", len(pairs))
             _check_deadline(deadline, "build_results")
@@ -203,25 +197,18 @@ class SearchEngine:
     ) -> List[SearchResult]:
         """All shapes whose similarity exceeds ``threshold`` (Eq. 4.4).
 
-        Falls back to a vectorized linear scan when ``use_index=False``
-        or the feature space carries no index.  ``deadline`` is honoured
-        cooperatively as in :meth:`search_knn`.
+        Ranked by (distance, shape id), like :meth:`search_knn`;
+        ``deadline`` is honoured cooperatively and ``use_index`` ignored
+        as there.
         """
         metrics = get_registry()
         with metrics.timed("search.threshold"):
             _check_deadline(deadline, "resolve_query")
             vec = self.resolve_query_vector(query, feature_name)
             _check_deadline(deadline, "index_probe")
-            measure = self.measure(feature_name)
-            radius = measure.radius_for_threshold(threshold)
+            radius = self.measure(feature_name).radius_for_threshold(threshold)
             exclude = int(query) if isinstance(query, (int, np.integer)) and exclude_query else None
-            if use_index and self.database.has_index(feature_name):
-                pairs = self.database.within_radius(
-                    feature_name, vec, radius, weights=measure.weights
-                )
-            else:
-                metrics.inc("search.linear_fallback")
-                pairs = self._linear_radius(feature_name, vec, radius)
+            pairs = self._linear_radius(feature_name, vec, radius)
             metrics.inc("search.queries")
             metrics.inc("search.candidates_examined", len(pairs))
             _check_deadline(deadline, "build_results")
@@ -267,11 +254,11 @@ class SearchEngine:
         """Re-order an explicit candidate set under another feature vector.
 
         This is the filter step of the multi-step strategy (Section 4.2):
-        distances are computed directly against the candidates, no index
-        involved.  Degraded records that do not carry ``feature_name``
-        are not dropped from the candidate set — they are ranked after
-        every record that does carry it, at distance ``d_max``
-        (similarity 0), in stable id order.
+        distances are computed directly against the candidates.
+        Degraded records that do not carry ``feature_name`` are not
+        dropped from the candidate set — they are ranked after every
+        record that does carry it, at distance ``d_max`` (similarity 0),
+        in stable id order.
         """
         metrics = get_registry()
         with metrics.timed("search.rerank"):

@@ -20,6 +20,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .engine import Query, SearchEngine, SearchResult
+from .similarity import weighted_distances
 
 
 def reconstruct_query(
@@ -104,25 +105,16 @@ class RelevanceFeedbackSession:
         self.rounds = 0
 
     def search(self) -> List[SearchResult]:
-        """Current-round retrieval with the session's query and weights."""
-        measure = self.engine.measure(self.feature_name)
-        pairs = self.engine.database.nearest(
-            self.feature_name, self.query_vector, k=self.k, weights=self.weights
-        )
-        results = []
-        for rank, (shape_id, dist) in enumerate(pairs, start=1):
-            record = self.engine.database.get(shape_id)
-            results.append(
-                SearchResult(
-                    shape_id=shape_id,
-                    distance=float(dist),
-                    similarity=measure.similarity_from_distance(float(dist)),
-                    rank=rank,
-                    name=record.name,
-                    group=record.group,
-                )
-            )
-        return results
+        """Current-round retrieval with the session's query and weights.
+
+        An exact scan of the packed column under the session's weights,
+        ranked by (distance, shape id) like :meth:`SearchEngine.search_knn`.
+        """
+        view = self.engine.database.feature_view(self.feature_name)
+        dists = weighted_distances(self.query_vector, view.matrix, self.weights)
+        order = np.lexsort((view.ids, dists))[: self.k]
+        pairs = [(int(view.ids[i]), float(dists[i])) for i in order]
+        return self.engine._build_results(pairs, self.feature_name, None)
 
     def feedback(
         self, relevant_ids: Sequence[int], irrelevant_ids: Sequence[int] = ()

@@ -26,7 +26,7 @@ class MultiStepPlan:
     """A multi-step query: pool retrieval followed by filter steps.
 
     ``steps`` is an ordered list of (feature_name, keep) pairs: the first
-    step searches the index and keeps ``keep`` shapes; every later step
+    step scans its feature space and keeps ``keep`` shapes; every later step
     reranks the surviving candidates under its feature vector and truncates
     to its ``keep``.
     """
@@ -50,7 +50,6 @@ def multi_step_search(
     plan: Optional[MultiStepPlan] = None,
     exclude_query: bool = True,
     deadline: Optional[Deadline] = None,
-    use_index: bool = True,
 ) -> List[SearchResult]:
     """Run a multi-step query.
 
@@ -58,9 +57,6 @@ def multi_step_search(
     reranked by geometric parameters, top 10 presented.  A ``deadline``
     propagates into the pool retrieval and every filter step, so a
     timed-out query aborts between steps rather than finishing the plan.
-    ``use_index=False`` forces the pool retrieval onto the packed linear
-    scan (identical results); filter steps always rerank against the
-    packed store and never touch an index.
     """
     if plan is None:
         plan = MultiStepPlan(
@@ -79,7 +75,6 @@ def multi_step_search(
             k=first_keep,
             exclude_query=exclude_query,
             deadline=deadline,
-            use_index=use_index,
         )
         for feature_name, keep in plan.steps[1:]:
             candidate_ids = [r.shape_id for r in results]

@@ -508,7 +508,6 @@ class ServiceClient:
             Union[CascadeStrategy, Sequence[Dict[str, Any]]]
         ] = None,
         exclude_query: bool = True,
-        use_index: bool = True,
         deadline_ms: Optional[float] = None,
     ) -> Dict[str, Any]:
         """Run one query; returns the decoded response body.
@@ -535,7 +534,6 @@ class ServiceClient:
             "k": k,
             "threshold": threshold,
             "exclude_query": exclude_query,
-            "use_index": use_index,
         }
         if shape_id is not None:
             body["shape_id"] = shape_id

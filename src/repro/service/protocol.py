@@ -56,6 +56,8 @@ WIRE_VERSIONS = (1, 2)
 
 #: Wire fields accepted by ``POST /search`` (everything else is rejected
 #: so typos fail loudly instead of silently running defaults).
+#: ``use_index`` is accepted and ignored: knn/threshold always run the
+#: exact scan, and v1/v2 clients that still send it must not be rejected.
 _REQUEST_FIELDS = frozenset(
     {
         "shape_id",
@@ -191,7 +193,6 @@ def decode_request(
             steps=steps,
             strategy=strategy,
             exclude_query=bool(payload.get("exclude_query", True)),
-            use_index=bool(payload.get("use_index", True)),
         )
     except (TypeError, ValueError) as exc:
         raise ProtocolError(str(exc)) from exc

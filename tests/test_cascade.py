@@ -265,7 +265,7 @@ class TestExactEquivalence:
             strategy = CascadeStrategy.exact(FEATURE, k, pool=pool)
             outcome = run_cascade(synth_engine, 17, strategy)
             linear = synth_engine.search_knn(
-                17, FEATURE, k=k, use_index=False
+                17, FEATURE, k=k
             )
             assert [r.shape_id for r in outcome.results] == [
                 r.shape_id for r in linear
@@ -282,7 +282,7 @@ class TestExactEquivalence:
         outcome = run_cascade(
             synth_engine, query, CascadeStrategy.exact(FEATURE, 10, pool=60)
         )
-        linear = synth_engine.search_knn(query, FEATURE, k=10, use_index=False)
+        linear = synth_engine.search_knn(query, FEATURE, k=10)
         assert [(r.shape_id, r.distance) for r in outcome.results] == [
             (r.shape_id, r.distance) for r in linear
         ]
@@ -330,7 +330,7 @@ class TestQuantizedCascade:
             truth = {
                 r.shape_id
                 for r in synth_engine.search_knn(
-                    sid, FEATURE, k=10, use_index=False
+                    sid, FEATURE, k=10
                 )
             }
             outcome = run_cascade(
@@ -350,7 +350,7 @@ class TestQuantizedCascade:
         linear = {
             r.shape_id: r.distance
             for r in synth_engine.search_knn(
-                3, FEATURE, k=50, use_index=False
+                3, FEATURE, k=50
             )
         }
         for result in outcome.results:
@@ -582,7 +582,7 @@ class TestMultiStepEquivalence:
             synth_engine, 9, CascadeStrategy.from_steps(steps)
         )
         legacy = multi_step_search(
-            synth_engine, 9, MultiStepPlan(steps=steps), use_index=False
+            synth_engine, 9, MultiStepPlan(steps=steps)
         )
         assert [(r.shape_id, r.distance) for r in outcome.results] == [
             (r.shape_id, r.distance) for r in legacy

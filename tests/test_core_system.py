@@ -31,7 +31,7 @@ class TestConfig:
             {"feature_names": []},
             {"voxel_resolution": 1},
             {"target_volume": 0.0},
-            {"index_max_entries": 1},
+            {"extraction_workers": -1},
             {"browse_branching": 1},
             {"browse_leaf_size": 0},
         ],

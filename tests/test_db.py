@@ -1,4 +1,4 @@
-"""Shape database: records, indexing, persistence."""
+"""Shape database: records, search over the stored vectors, persistence."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from repro.db import ShapeDatabase, ShapeRecord, StorageError, load_records, save_records
 from repro.features import FeaturePipeline
 from repro.geometry import box, cylinder, torus
+from repro.search import SearchEngine
 
 
 @pytest.fixture
@@ -16,6 +17,16 @@ def db():
     database.insert_mesh(cylinder(1, 4, 16), group="cyls")
     database.insert_mesh(torus(2, 0.5, 16, 8))
     return database
+
+
+def knn(database, query, k):
+    """(id, distance) pairs of an engine k-NN by vector over principal moments."""
+    hits = SearchEngine(database).search_knn(query, "principal_moments", k=k)
+    return [(hit.shape_id, hit.distance) for hit in hits]
+
+
+def knn_ids(database, query, k):
+    return [shape_id for shape_id, _ in knn(database, query, k)]
 
 
 class TestRecords:
@@ -50,9 +61,11 @@ class TestCrud:
 
     def test_delete_removes_from_index(self, db):
         q = db.get(1).feature("principal_moments")
+        assert 2 in knn_ids(db, q, k=4)
         db.delete(2)
-        hits = [i for i, _ in db.nearest("principal_moments", q, k=4)]
-        assert 2 not in hits
+        assert sorted(knn_ids(db, q, k=4)) == [1, 3, 4]
+        within = SearchEngine(db).search_threshold(q, "principal_moments", threshold=0.0)
+        assert sorted(h.shape_id for h in within) == [1, 3, 4]
         assert len(db) == 3
 
     def test_insert_without_pipeline_raises(self):
@@ -80,18 +93,28 @@ class TestCrud:
 class TestQueries:
     def test_nearest_self_first(self, db):
         q = db.get(1).feature("principal_moments")
-        hits = db.nearest("principal_moments", q, k=2)
+        hits = knn(db, q, k=2)
         assert hits[0][0] == 1
         assert hits[0][1] == pytest.approx(0.0)
 
+    def test_nearest_sees_new_insert(self, db):
+        rec = ShapeRecord(
+            shape_id=0,
+            name="twin",
+            features={"principal_moments": db.get(3).feature("principal_moments")},
+        )
+        new_id = db.insert_record(rec)
+        q = db.get(3).feature("principal_moments")
+        assert knn_ids(db, q, k=2) == [3, new_id]
+
     def test_within_radius(self, db):
         q = db.get(1).feature("principal_moments")
-        hits = db.within_radius("principal_moments", q, radius=1e9)
+        hits = SearchEngine(db).search_threshold(q, "principal_moments", threshold=0.0)
         assert len(hits) == 4
 
     def test_unknown_feature_index(self, db):
         with pytest.raises(KeyError):
-            db.index("nope")
+            SearchEngine(db).search_knn(db.get(1).shape_id, "nope", k=1)
 
     def test_feature_matrix_alignment(self, db):
         matrix, ids = db.feature_matrix("principal_moments")
@@ -137,15 +160,14 @@ class TestPersistence:
         back = ShapeDatabase.load(tmp_path / "store", load_meshes=False)
         assert back.get(1).mesh is None
         q = back.get(1).feature("principal_moments")
-        assert back.nearest("principal_moments", q, k=1)[0][0] == 1
+        assert knn_ids(back, q, k=1) == [1]
 
     def test_queries_after_reload_match(self, db, tmp_path):
         q = db.get(1).feature("principal_moments")
-        before = [i for i, _ in db.nearest("principal_moments", q, k=4)]
+        before = knn(db, q, k=4)
         db.save(tmp_path / "store")
         back = ShapeDatabase.load(tmp_path / "store")
-        after = [i for i, _ in back.nearest("principal_moments", q, k=4)]
-        assert before == after
+        assert knn(back, q, k=4) == before
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(StorageError):
@@ -163,10 +185,13 @@ class TestPersistence:
         assert back[0].metadata == {"source": "unit-test"}
         assert np.array_equal(back[0].features["f"], np.arange(4.0))
 
-    def test_rebuild_indexes_bulk_and_incremental(self, db):
+    def test_queries_follow_update_features(self, db, tmp_path):
+        features = dict(db.get(4).features)
+        features["principal_moments"] = db.get(1).feature("principal_moments")
+        db.update_features(4, features)
         q = db.get(1).feature("principal_moments")
-        expect = [i for i, _ in db.nearest("principal_moments", q, k=4)]
-        db.rebuild_indexes(bulk=True)
-        assert [i for i, _ in db.nearest("principal_moments", q, k=4)] == expect
-        db.rebuild_indexes(bulk=False)
-        assert [i for i, _ in db.nearest("principal_moments", q, k=4)] == expect
+        hits = knn(db, q, k=2)
+        assert [i for i, _ in hits] == [1, 4]
+        assert hits[1][1] == 0.0
+        db.save(tmp_path / "store")
+        assert knn(ShapeDatabase.load(tmp_path / "store"), q, k=4) == knn(db, q, k=4)

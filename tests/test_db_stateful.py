@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.db import ShapeDatabase, ShapeRecord
+from repro.search import SearchEngine
 
 DIM = 3
 coord = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
@@ -17,7 +18,7 @@ group_name = st.sampled_from(["a", "b", "c", None])
 class ShapeDatabaseMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.db = ShapeDatabase(pipeline=None, index_max_entries=4)
+        self.db = ShapeDatabase(pipeline=None)
         self.oracle = {}  # id -> (vector, group)
 
     @rule(vec=vector, group=group_name)
@@ -44,7 +45,11 @@ class ShapeDatabaseMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.oracle)
     @rule(q=vector, k=st.integers(1, 5))
     def knn_matches_oracle(self, q, k):
-        got = self.db.nearest("f", np.asarray(q), k=k)
+        engine = SearchEngine(self.db, weighting="uniform")
+        got = [
+            (hit.shape_id, hit.distance)
+            for hit in engine.search_knn(np.asarray(q), "f", k=k)
+        ]
         want = sorted(
             (
                 (float(np.linalg.norm(vec - np.asarray(q))), shape_id)

@@ -57,7 +57,6 @@ class TestCore:
             "RPL001",
             "RPL002",
             "RPL003",
-            "RPL004",
             "RPL005",
             "RPL006",
             "RPL007",
@@ -234,31 +233,6 @@ class TestRPL003:
 
     def test_bool_literal_not_treated_as_exit_code(self):
         diags, _ = run_rule("RPL003", "def main():\n    return True\n")
-        assert diags == []
-
-
-# ----------------------------------------------------------------------
-# RPL004 — deprecated facade calls
-# ----------------------------------------------------------------------
-class TestRPL004:
-    @pytest.mark.parametrize(
-        "method", ["query_by_example", "query_by_threshold", "multi_step"]
-    )
-    def test_flags_deprecated_calls(self, method):
-        diags, _ = run_rule("RPL004", f"system.{method}(query, k=3)\n")
-        assert codes(diags) == ["RPL004"]
-        assert method in diags[0].message
-
-    def test_new_api_is_clean(self):
-        diags, _ = run_rule(
-            "RPL004", "system.search(SearchRequest(query=q, k=3))\n"
-        )
-        assert diags == []
-
-    def test_method_definition_is_not_a_call(self):
-        diags, _ = run_rule(
-            "RPL004", "class T:\n    def query_by_example(self):\n        pass\n"
-        )
         assert diags == []
 
 
@@ -475,7 +449,7 @@ class TestSuppressions:
 # ----------------------------------------------------------------------
 class TestReportersAndCli:
     def _violations_tree(self, tmp_path):
-        """One seeded violation of each of the seven rules."""
+        """One seeded violation of each of the six AST rules."""
         stage = tmp_path / "voxel"
         stage.mkdir()
         (stage / "bad_stage.py").write_text("raise ValueError('x')\n")
@@ -487,19 +461,17 @@ class TestReportersAndCli:
             "    pass\n"
             "metrics.inc('bogus.metric')\n"
             "sys.exit(1)\n"
-            "system.query_by_example(q)\n"
             "runner.register('t', lambda job: None)\n"
             "SearchRequest(query=1, mode='multi_step')\n"
         )
         return tmp_path
 
-    def test_seeded_violations_hit_all_seven_rules(self, tmp_path):
+    def test_seeded_violations_hit_every_ast_rule(self, tmp_path):
         report = lint_paths([str(self._violations_tree(tmp_path))])
         assert sorted(report.counts_by_code()) == [
             "RPL001",
             "RPL002",
             "RPL003",
-            "RPL004",
             "RPL005",
             "RPL006",
             "RPL007",
@@ -513,8 +485,7 @@ class TestReportersAndCli:
         assert payload["files_checked"] == 2
         assert isinstance(payload["suppressed"], int)
         assert set(payload["counts"]) == {
-            "RPL001", "RPL002", "RPL003", "RPL004", "RPL005", "RPL006",
-            "RPL007",
+            "RPL001", "RPL002", "RPL003", "RPL005", "RPL006", "RPL007",
         }
         for diag in payload["diagnostics"]:
             assert set(diag) == {"code", "path", "line", "col", "message"}
@@ -528,14 +499,14 @@ class TestReportersAndCli:
 
     def test_select_restricts_rules(self, tmp_path):
         tree = self._violations_tree(tmp_path)
-        report = lint_paths([str(tree)], select=["RPL004"])
-        assert set(report.counts_by_code()) == {"RPL004"}
+        report = lint_paths([str(tree)], select=["RPL007"])
+        assert set(report.counts_by_code()) == {"RPL007"}
 
     def test_ignore_drops_rules(self, tmp_path):
         tree = self._violations_tree(tmp_path)
         report = lint_paths([str(tree)], ignore=["RPL001", "RPL006"])
         assert set(report.counts_by_code()) == {
-            "RPL002", "RPL003", "RPL004", "RPL005", "RPL007",
+            "RPL002", "RPL003", "RPL005", "RPL007",
         }
 
     def test_cli_exit_codes(self, tmp_path, capsys):

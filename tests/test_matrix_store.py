@@ -155,7 +155,7 @@ class TestDatabaseIntegration:
                 got = [
                     (r.shape_id, r.distance)
                     for r in engine.search_knn(
-                        q, feature, k=9, exclude_query=False, use_index=False
+                        q, feature, k=9, exclude_query=False
                     )
                 ]
                 assert got == legacy_knn(db, feature, q, 9)
@@ -171,7 +171,7 @@ class TestDatabaseIntegration:
         got = [
             (r.shape_id, r.distance)
             for r in engine.search_knn(
-                np.array([1.0, 2.0]), "f", k=6, exclude_query=False, use_index=False
+                np.array([1.0, 2.0]), "f", k=6, exclude_query=False
             )
         ]
         assert got == legacy_knn(database, "f", np.array([1.0, 2.0]), 6)
@@ -185,7 +185,7 @@ class TestDatabaseIntegration:
         assert before[0].distance == 0.0
         db.delete(victim)
         after = engine.search_knn(
-            q, "alpha", k=5, exclude_query=False, use_index=False
+            q, "alpha", k=5, exclude_query=False
         )
         assert victim not in [r.shape_id for r in after]
         assert [
@@ -276,7 +276,7 @@ class TestPersistence:
         got = [
             (r.shape_id, r.distance)
             for r in engine.search_knn(
-                q, "alpha", k=7, exclude_query=False, use_index=False
+                q, "alpha", k=7, exclude_query=False
             )
         ]
         assert got == legacy_knn(db, "alpha", q, 7)

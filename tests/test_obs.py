@@ -202,10 +202,8 @@ class TestSnapshotAndTable:
     def test_derived_per_query_ratios(self, registry):
         registry.inc("search.queries", 2)
         registry.inc("search.candidates_examined", 10)
-        registry.inc("index.rtree.node_accesses", 30)
         derived = registry.snapshot()["derived"]
         assert derived["search.candidates_per_query"] == 5.0
-        assert derived["index.rtree.node_accesses_per_query"] == 15.0
 
     def test_render_table_empty(self, registry):
         assert registry.render_table() == "(no metrics recorded)"
@@ -245,7 +243,6 @@ class TestSystemIntegration:
     EXPECTED_COUNTERS = {
         "cache.hits",
         "cache.misses",
-        "index.rtree.node_accesses",
         "search.queries",
         "search.candidates_examined",
     }
@@ -289,7 +286,7 @@ class TestSystemIntegration:
     def test_table_covers_acceptance_surface(self, stats):
         table = obs.render_table()
         assert "pipeline.skeletonize" in table
-        assert "index.rtree.node_accesses" in table
+        assert "search.queries" in table
         assert "cache.hit_rate" in table
 
     def test_metrics_disabled_records_nothing(self):
@@ -340,7 +337,7 @@ class TestCliStats:
         assert code == 0
         assert "pipeline.skeletonize" in out
         assert "cache.hits" in out
-        assert "index.rtree.node_accesses" in out
+        assert "search.queries" in out
         assert "cache.hit_rate" in out
 
     def test_query_profile_flag(self, tmp_path, capsys):

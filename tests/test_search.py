@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.db import ShapeDatabase
+from repro import SearchRequest, ThreeDESS
+from repro.datasets import build_synthetic_database
+from repro.db import ShapeDatabase, ShapeRecord
 from repro.features import FeaturePipeline
 from repro.geometry import box, cylinder, torus, tube
 from repro.search import (
@@ -17,6 +19,7 @@ from repro.search import (
     reconfigure_weights,
     reconstruct_query,
     weighted_distance,
+    weighted_distances,
 )
 
 
@@ -163,8 +166,69 @@ class TestSearchEngine:
     def test_measure_cache_invalidation(self, engine, db):
         m1 = engine.measure("principal_moments")
         assert engine.measure("principal_moments") is m1
-        engine.invalidate()
+        db.delete(db.ids()[-1])
         assert engine.measure("principal_moments") is not m1
+
+
+TIE_K = 5
+TIE_COPIES = 5
+TIE_FEATURE = "principal_moments"
+
+
+def duplicate_row_system(n, tmp_path):
+    """A reloaded system of ``n`` vector-only records, each vector repeated
+    ``TIE_COPIES`` times (interleaved, so copies get scattered ids)."""
+    rng = np.random.default_rng(n)
+    base = rng.normal(size=(max(1, n // TIE_COPIES), 3))
+    db = ShapeDatabase(pipeline=None)
+    for i in range(n):
+        db.insert_record(
+            ShapeRecord(
+                shape_id=0,
+                name=f"dup{i}",
+                features={TIE_FEATURE: base[i % len(base)]},
+            )
+        )
+    db.save(tmp_path / "dups")
+    return ThreeDESS.load(tmp_path / "dups", load_meshes=False)
+
+
+def exact_order(system, query_id, radius=None):
+    """Expected ranking: ``np.lexsort((ids, d))`` with the query dropped."""
+    view = system.database.feature_view(TIE_FEATURE)
+    d = weighted_distances(
+        view.matrix[view.id_list.index(query_id)],
+        view.matrix,
+        range_weights(view.matrix),
+    )
+    order = np.lexsort((view.ids, d))
+    if radius is not None:
+        order = [i for i in order if d[i] <= radius]
+    return [int(view.ids[i]) for i in order if view.ids[i] != query_id]
+
+
+class TestTieOrder:
+    """Tied rows rank by (distance, id) at edge corpus sizes."""
+
+    @pytest.mark.parametrize("n", [1, TIE_K, TIE_K + 1, 200])
+    def test_knn_and_threshold_follow_lexsort(self, n, tmp_path):
+        system = duplicate_row_system(n, tmp_path)
+        radius = system.engine.measure(TIE_FEATURE).radius_for_threshold(0.8)
+        for sid in system.database.ids()[:: max(1, n // 40)]:
+            knn = system.search(
+                SearchRequest(query=sid, mode="knn", k=TIE_K, feature_name=TIE_FEATURE)
+            )
+            expect = exact_order(system, sid)[:TIE_K]
+            assert knn.shape_ids == expect
+            assert [h.rank for h in knn.hits] == list(range(1, len(expect) + 1))
+            within = system.search(
+                SearchRequest(
+                    query=sid, mode="threshold", threshold=0.8, feature_name=TIE_FEATURE
+                )
+            )
+            expect = exact_order(system, sid, radius)
+            assert within.shape_ids == expect
+            assert [h.rank for h in within.hits] == list(range(1, len(expect) + 1))
 
 
 class TestMultiStep:
@@ -240,6 +304,17 @@ class TestRelevanceFeedback:
         assert session.rounds == 1
         second = session.search()
         assert len(second) == 4
+
+    def test_session_search_on_bulk_appended_db(self):
+        # Bulk-appended databases (the synthetic scale tier) once crashed
+        # feedback search with KeyError; it must equal the exact k-NN.
+        engine = SearchEngine(build_synthetic_database(200))
+        session = RelevanceFeedbackSession(engine, 7, "principal_moments", k=10)
+        got = session.search()
+        want = engine.search_knn(7, "principal_moments", k=10, exclude_query=False)
+        assert [r.shape_id for r in got] == [r.shape_id for r in want]
+        assert [r.distance for r in got] == [r.distance for r in want]
+        assert [r.rank for r in got] == list(range(1, 11))
 
     def test_session_feedback_improves_box_rank(self, engine):
         # Mark the two other boxes relevant; box ranks should not get worse.

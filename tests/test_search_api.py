@@ -131,16 +131,16 @@ class TestUnifiedSearch:
         assert response.shape_ids == [1]
 
     def test_index_vs_linear_provenance(self, system):
-        indexed = system.search(SearchRequest(query=1, mode="knn", k=2))
-        linear = system.search(
-            SearchRequest(query=1, mode="knn", k=2, use_index=False)
+        # knn and threshold have one retrieval path: the exact scan.
+        knn = system.search(SearchRequest(query=1, mode="knn", k=2))
+        within = system.search(
+            SearchRequest(query=1, mode="threshold", threshold=0.0)
         )
-        assert indexed.path == "index"
-        assert all(h.path == "index" for h in indexed.hits)
-        assert linear.path == "linear"
-        assert all(h.path == "linear" for h in linear.hits)
-        # Both paths retrieve the same ranking.
-        assert indexed.shape_ids == linear.shape_ids
+        for response in (knn, within):
+            assert response.path == "linear"
+            assert all(h.path == "linear" for h in response.hits)
+        engine_ids = [r.shape_id for r in system.engine.search_knn(1, "principal_moments", k=2)]
+        assert knn.shape_ids == engine_ids
 
     def test_degraded_provenance(self):
         sys3d = ThreeDESS(SystemConfig(voxel_resolution=RES))

@@ -12,6 +12,7 @@ from repro.datasets import (
     stream_corpus,
     synthetic_vector_batches,
 )
+from repro.index import RTree
 from repro.search.engine import SearchEngine
 
 RES = 10
@@ -101,9 +102,7 @@ class TestSynthetic:
         db = build_synthetic_database(640, seed=4, batch_size=256, n_groups=8)
         engine = SearchEngine(db)
         sid = db.ids()[0]
-        hits = engine.search_knn(
-            sid, "principal_moments", k=8, use_index=False
-        )
+        hits = engine.search_knn(sid, "principal_moments", k=8)
         same_group = sum(
             1 for h in hits if db.get(h.shape_id).group == db.get(sid).group
         )
@@ -115,16 +114,17 @@ class TestSynthetic:
         assert db.matrix_store.total_rows == 300 * len(SYNTHETIC_FEATURE_DIMS)
         engine = SearchEngine(db)
         q = db.get(db.ids()[7]).features["eigenvalues"]
-        linear = engine.search_knn(
-            q, "eigenvalues", k=6, exclude_query=False, use_index=False
+        linear = engine.search_knn(q, "eigenvalues", k=6, exclude_query=False)
+        # The paper's R-tree, bulk-loaded from the packed view, agrees
+        # with the engine's exact scan.
+        view = db.feature_view("eigenvalues")
+        tree = RTree.bulk_load(view.matrix, view.id_list)
+        indexed = tree.nearest(
+            q, k=6, weights=engine.measure("eigenvalues").weights
         )
-        db.rebuild_indexes()
-        indexed = engine.search_knn(
-            q, "eigenvalues", k=6, exclude_query=False, use_index=True
-        )
-        assert [r.shape_id for r in linear] == [r.shape_id for r in indexed]
-        for a, b in zip(linear, indexed):
-            assert a.distance == pytest.approx(b.distance, abs=0.0)
+        assert [r.shape_id for r in linear] == [sid for sid, _ in indexed]
+        for a, (_, dist) in zip(linear, indexed):
+            assert a.distance == pytest.approx(dist, abs=0.0)
 
     def test_custom_dims(self):
         db = build_synthetic_database(
