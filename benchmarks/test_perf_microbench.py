@@ -82,6 +82,13 @@ def test_perf_thinning_kernel(benchmark, bracket_grid, kernel):
     assert skel.n_occupied >= 1
 
 
+def test_perf_voxelize_surface(benchmark, bracket):
+    from repro.voxel import voxelize_surface
+
+    grid = benchmark(voxelize_surface, bracket, resolution=32)
+    assert grid.n_occupied >= 1
+
+
 @pytest.fixture(scope="module")
 def ingestion_batch():
     from repro.datasets.generator import build_corpus

@@ -66,10 +66,7 @@ def mesh_moments(
     tri = mesh.triangles  # (m, 3 corners, 3 coords)
     vols = _signed_tet_volumes(tri)
     max_exp = max((max(k) for k in keys), default=0)
-    # powers[c][e] = per-face, per-corner coordinate c raised to exponent e.
-    powers = [
-        [np.ones(len(tri))] + [None] * max_exp for _ in range(3)
-    ]  # type: List[List[np.ndarray]]
+    # corner_pows[e] = every face's corner coordinates raised to exponent e.
     corner_pows = np.ones((max_exp + 1, len(tri), 3, 3))
     for e in range(1, max_exp + 1):
         corner_pows[e] = corner_pows[e - 1] * tri

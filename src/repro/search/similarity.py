@@ -4,9 +4,10 @@ Dissimilarity is a weighted Euclidean distance in feature space; the
 similarity measure normalizes it by the maximum distance of the feature
 space so that s = 1 - d/dmax lies in [0, 1].
 
-``dmax`` is taken as the (weighted) diagonal of the bounding box of the
-stored feature vectors — a stable upper bound on pairwise distance that is
-monotone-equivalent to the exact maximum for thresholding purposes.
+``dmax`` is the paper's maximum distance between stored feature vectors.
+Up to ``SimilarityMeasure._EXACT_DMAX_LIMIT`` (2000) rows it is the exact
+maximum pairwise (weighted) distance; above that it is the (weighted)
+diagonal of the vectors' bounding box, an upper bound on that maximum.
 
 Per-dimension weights default to inverse squared range ("range
 equalization"), which stops large-magnitude dimensions (e.g. raw volume in

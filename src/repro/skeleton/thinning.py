@@ -8,12 +8,13 @@ variant that guarantees topology preservation for (26, 6) connectivity.
 
 Two kernels implement the same sequential-deletion semantics:
 
-* ``"batched"`` (default) packs every voxel's 3x3x3 neighborhood into a
-  26-bit mask in one NumPy pass — a shifted-array accumulation into a
-  uint32 volume — and keeps the packed volume current by clearing one bit
-  in each of the 26 neighbor masks whenever a voxel is deleted.  The
-  per-candidate work drops to an array load plus a memoized simple-point
-  lookup, which is what makes ``build-db`` fast at higher resolutions.
+* ``"batched"`` (default) keeps the volume as one Python-int bitset per
+  (x, y) row.  A candidate's 26-bit mask is gathered from its 9
+  neighboring rows with a shift and a 3-bit AND each, a deletion clears
+  one bit of one row, and the boolean volume is written back once per
+  subiteration.  The per-candidate work drops to a handful of integer
+  operations plus a memoized simple-point lookup, which is what makes
+  query-by-example extraction and ``build-db`` fast.
 * ``"reference"`` is the original per-voxel loop
   (:func:`~repro.skeleton.simple_point.neighborhood_mask` per candidate).
   It is kept as the correctness oracle: both kernels re-check a
@@ -28,7 +29,7 @@ topology of the original model but is not perfectly invariant to rotation.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from ..obs import get_registry
 from ..robust.errors import InvalidParameterError, SkeletonizationError
 from ..voxel.grid import VoxelGrid
 from .simple_point import (
-    NEIGHBOR_OFFSETS,
     count_object_neighbors,
     is_simple_mask,
     neighborhood_mask,
@@ -49,24 +49,6 @@ _DIRECTIONS: Tuple[Tuple[int, int, int], ...] = (
     (0, -1, 0),
     (1, 0, 0),
     (-1, 0, 0),
-)
-
-_OFFSET_INDEX = {off: i for i, off in enumerate(NEIGHBOR_OFFSETS)}
-
-#: Neighbor offsets as arrays, for fancy-indexed packed-mask updates.
-_NBR_DX = np.array([off[0] for off in NEIGHBOR_OFFSETS], dtype=np.intp)
-_NBR_DY = np.array([off[1] for off in NEIGHBOR_OFFSETS], dtype=np.intp)
-_NBR_DZ = np.array([off[2] for off in NEIGHBOR_OFFSETS], dtype=np.intp)
-
-#: For the neighbor at offset o, the deleted center sits at offset -o; this
-#: is the AND-mask that clears the corresponding bit of that neighbor's
-#: packed neighborhood.
-_OPPOSITE_CLEAR = np.array(
-    [
-        ~np.uint32(1 << _OFFSET_INDEX[(-dx, -dy, -dz)])
-        for (dx, dy, dz) in NEIGHBOR_OFFSETS
-    ],
-    dtype=np.uint32,
 )
 
 
@@ -89,60 +71,81 @@ def _border_candidates(
     return occ & ~shifted
 
 
-def pack_volume(occ: np.ndarray) -> np.ndarray:
-    """Packed 26-bit neighborhood masks for every voxel, in one pass.
+def _row_bitsets(occ: np.ndarray) -> List[int]:
+    """One Python int per (x, y) row of ``occ``, padded by one on every side.
 
-    Returns a uint32 array padded by one voxel on every side (so a voxel
-    at grid index (x, y, z) lives at (x+1, y+1, z+1)); the pad ring keeps
-    neighbor updates branch-free at the grid boundary.  Bit *i* of a mask
-    is the occupancy of the neighbor at ``NEIGHBOR_OFFSETS[i]``, matching
-    :func:`~repro.skeleton.simple_point.neighborhood_mask` exactly.
+    Row ``(x + 1) * (ny + 2) + (y + 1)`` holds grid voxel ``(x, y, z)`` at
+    bit ``z + 1``; the rows and bits of the pad ring stay zero, so a
+    neighborhood gather never leaves the volume.
     """
     nx, ny, nz = occ.shape
-    padded = np.zeros((nx + 2, ny + 2, nz + 2), dtype=np.uint32)
-    padded[1:-1, 1:-1, 1:-1] = occ
-    packed = np.zeros_like(padded)
-    interior = packed[1:-1, 1:-1, 1:-1]
-    for i, (dx, dy, dz) in enumerate(NEIGHBOR_OFFSETS):
-        interior |= (
-            padded[1 + dx : nx + 1 + dx, 1 + dy : ny + 1 + dy, 1 + dz : nz + 1 + dz]
-            << np.uint32(i)
-        )
-    return packed
+    if nz <= 61:  # bits 1..nz fit an int64
+        bits = (occ @ (np.int64(2) << np.arange(nz, dtype=np.int64))).ravel().tolist()
+    else:
+        packed = np.packbits(occ, axis=2, bitorder="little")
+        bits = [
+            int.from_bytes(row.tobytes(), "little") << 1
+            for row in packed.reshape(-1, packed.shape[2])
+        ]
+    rows = np.zeros((nx + 2, ny + 2), dtype=object)
+    rows[1:-1, 1:-1] = np.array(bits, dtype=object).reshape(nx, ny)
+    return rows.ravel().tolist()
+
+
+def _row_mask(rows: List[int], r: int, z: int, w: int) -> int:
+    """26-bit neighborhood mask of grid voxel ``z`` of padded row ``r``.
+
+    Takes three bits (dz = -1, 0, 1) from each of the 9 rows at offsets
+    (dx, dy) in :data:`~repro.skeleton.simple_point.NEIGHBOR_OFFSETS`
+    order — the center row gives only dz = -1 and dz = 1 — so the mask
+    equals :func:`~repro.skeleton.simple_point.neighborhood_mask`.
+    ``w`` is the padded row stride ``ny + 2``.
+    """
+    c = rows[r] >> z
+    return (
+        (rows[r - w - 1] >> z & 7)
+        | (rows[r - w] >> z & 7) << 3
+        | (rows[r - w + 1] >> z & 7) << 6
+        | (rows[r - 1] >> z & 7) << 9
+        | (c & 1) << 12
+        | (c & 4) << 11
+        | (rows[r + 1] >> z & 7) << 14
+        | (rows[r + w - 1] >> z & 7) << 17
+        | (rows[r + w] >> z & 7) << 20
+        | (rows[r + w + 1] >> z & 7) << 23
+    )
 
 
 def _thin_batched(
     occ: np.ndarray, preserve_endpoints: bool, max_iterations: int
 ) -> np.ndarray:
-    packed = pack_volume(occ)
-    flat = packed.ravel()
-    # Flat-index strides of the padded volume, so each candidate costs one
-    # integer index instead of a 3-tuple fancy index.
-    sy = packed.shape[2]
-    sx = packed.shape[1] * sy
-    nbr_flat = (_NBR_DX * sx + _NBR_DY * sy + _NBR_DZ).astype(np.intp)
-    base_off = sx + sy + 1  # grid (0, 0, 0) -> padded (1, 1, 1)
+    rows = _row_bitsets(occ)
+    _, ny, nz = occ.shape
+    w = ny + 2  # row stride of the padded (x, y) plane
     simple = is_simple_mask
+    gather = _row_mask
     for _ in range(max_iterations):
         deleted_this_sweep = 0
         for direction in _DIRECTIONS:
-            candidates = np.argwhere(_border_candidates(occ, direction))
-            flat_idx = (
-                candidates[:, 0] * sx + candidates[:, 1] * sy + candidates[:, 2]
-                + base_off
-            ).tolist()
+            flat = np.flatnonzero(_border_candidates(occ, direction))
+            xy, zs = np.divmod(flat, nz)
+            xs, ys = np.divmod(xy, ny)
+            deleted = []
             # Candidates are distinct voxels and only visited voxels are
             # deleted, so — exactly as in the reference kernel — no
             # candidate can lose its occupancy before its own visit; the
-            # packed mask alone carries the current neighborhood state.
-            for pos, idx in zip(candidates.tolist(), flat_idx):
-                mask = int(flat[idx])
+            # row bitsets alone carry the current neighborhood state.
+            for f, r, z in zip(
+                flat.tolist(), ((xs + 1) * w + ys + 1).tolist(), zs.tolist()
+            ):
+                mask = gather(rows, r, z, w)
                 if preserve_endpoints and (mask & (mask - 1)) == 0:
                     continue  # <= 1 object neighbor: endpoint (or isolated)
                 if simple(mask):
-                    occ[pos[0], pos[1], pos[2]] = False
-                    flat[idx + nbr_flat] &= _OPPOSITE_CLEAR
-                    deleted_this_sweep += 1
+                    rows[r] &= ~(2 << z)
+                    deleted.append(f)
+            np.put(occ, deleted, False)
+            deleted_this_sweep += len(deleted)
         if not deleted_this_sweep:
             return occ
     raise SkeletonizationError(
@@ -200,7 +203,7 @@ def thin(
     max_iterations:
         Safety bound on full sweeps (each sweep = 6 subiterations).
     kernel:
-        ``"batched"`` (vectorized neighborhood packing, default) or
+        ``"batched"`` (row-bitset neighborhood gathers, default) or
         ``"reference"`` (the original per-voxel loop).  Both produce
         bitwise-identical skeletons; the reference kernel exists for
         verification and benchmarking.

@@ -9,6 +9,9 @@ exterior flood fill, yielding the binary density function of Eq. 3.5.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import Tuple
+
 import numpy as np
 
 from ..geometry.mesh import TriangleMesh
@@ -17,19 +20,45 @@ from .grid import VoxelGrid
 from .morphology import fill_interior
 
 _SUBSAMPLE_FACTOR = 2.0  # samples per voxel edge along each triangle axis
+#: Most sample points one batch of equally sampled triangles holds, so the
+#: scratch arrays stay small however large or dense the mesh is.
+_MAX_BATCH_POINTS = 1 << 12
+#: Relative distance from an integer within which a vectorized edge length
+#: (a few ulps off ``np.linalg.norm``) could round the sample count the
+#: other way; such triangles are recounted with ``np.linalg.norm``.
+_NEAR_INTEGER = 1e-9
+#: Lattices of up to this many cuts are cached (about 0.7 MB in all);
+#: larger ones come from few, large triangles and are rebuilt per call.
+_CACHED_CUTS = 64
 
 
-def _triangle_samples(tri: np.ndarray, pitch: float) -> np.ndarray:
-    """Deterministic barycentric sample points covering one triangle."""
-    a, b, c = tri
-    e1, e2 = b - a, c - a
-    longest = max(np.linalg.norm(e1), np.linalg.norm(e2), np.linalg.norm(c - b))
-    n = max(1, int(np.ceil(longest * _SUBSAMPLE_FACTOR / pitch)))
+def _lattice(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Barycentric ``(u, v)`` of the samples of a triangle cut ``n`` ways."""
     i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
     keep = (i + j) <= n
     u = (i[keep] / n)[:, None]
     v = (j[keep] / n)[:, None]
-    return a + u * e1 + v * e2
+    u.flags.writeable = v.flags.writeable = False
+    return u, v
+
+
+_cached_lattice = lru_cache(maxsize=_CACHED_CUTS)(_lattice)
+
+
+def _sample_counts(tris: np.ndarray, pitch: float) -> np.ndarray:
+    """Per-triangle cuts ``n``: ceil(longest edge * factor / pitch), >= 1."""
+    edges = np.stack(
+        (tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0], tris[:, 2] - tris[:, 1]),
+        axis=1,
+    )
+    longest = np.sqrt(np.einsum("tij,tij->ti", edges, edges)).max(axis=1)
+    q = longest * _SUBSAMPLE_FACTOR / pitch
+    near = np.abs(q - np.rint(q)) <= _NEAR_INTEGER * np.maximum(q, 1.0)
+    for t in np.flatnonzero(near).tolist():
+        a, b, c = tris[t]
+        exact = max(np.linalg.norm(b - a), np.linalg.norm(c - a), np.linalg.norm(c - b))
+        q[t] = exact * _SUBSAMPLE_FACTOR / pitch
+    return np.maximum(np.ceil(q), 1).astype(np.int64)
 
 
 def voxelize_surface(
@@ -67,13 +96,26 @@ def voxelize_surface(
     center = (lo + hi) / 2.0
     origin = center - side * spacing / 2.0
 
-    occ = np.zeros((side, side, side), dtype=bool)
+    # Every triangle gets the points a + u*e1 + v*e2 of a barycentric
+    # lattice; triangles with the same number of cuts share one lattice and
+    # are sampled together, in batches of at most _MAX_BATCH_POINTS points.
+    occ = np.zeros(side**3, dtype=bool)
     tris = mesh.triangles
-    for tri in tris:
-        pts = _triangle_samples(tri, spacing)
-        idx = np.floor((pts - origin) / spacing).astype(np.int64)
-        np.clip(idx, 0, side - 1, out=idx)
-        occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+    a = tris[:, None, 0]
+    e1 = tris[:, None, 1] - a
+    e2 = tris[:, None, 2] - a
+    counts = _sample_counts(tris, spacing)
+    for n in np.unique(counts).tolist():
+        u, v = _cached_lattice(n) if n <= _CACHED_CUTS else _lattice(n)
+        members = np.flatnonzero(counts == n)
+        step = max(1, _MAX_BATCH_POINTS // len(u))
+        for start in range(0, len(members), step):
+            t = members[start : start + step]
+            pts = a[t] + u * e1[t] + v * e2[t]
+            idx = np.floor((pts - origin) / spacing).astype(np.int64)
+            np.clip(idx, 0, side - 1, out=idx)
+            occ[(idx[..., 0] * side + idx[..., 1]) * side + idx[..., 2]] = True
+    occ = occ.reshape(side, side, side)
     return VoxelGrid(occ, origin=origin, spacing=spacing)
 
 

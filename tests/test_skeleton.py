@@ -145,19 +145,61 @@ class TestThinningKernels:
         with pytest.raises(ValueError, match="unknown thinning kernel"):
             thin(grid, kernel="bogus")
 
-    def test_pack_volume_matches_neighborhood_mask(self):
+    @staticmethod
+    def assert_kernels_agree(occ):
+        for preserve_endpoints in (True, False):
+            a = thin(VoxelGrid(occ), preserve_endpoints, kernel="reference")
+            b = thin(VoxelGrid(occ), preserve_endpoints, kernel="batched")
+            assert np.array_equal(a.occupancy, b.occupancy), (
+                occ.shape,
+                preserve_endpoints,
+            )
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(1, 1, 1), (1, 6, 4), (3, 11, 5), (12, 4, 7), (2, 2, 9), (3, 0, 4), (2, 0, 64)],
+    )
+    def test_identical_on_non_cubic_grids(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for density in (0.3, 0.7, 1.0):
+            self.assert_kernels_agree(rng.random(shape) < density)
+
+    def test_identical_on_grids_touching_the_boundary(self):
+        rng = np.random.default_rng(11)
+        full = np.ones((5, 6, 7), dtype=bool)  # every voxel on or next to the boundary
+        self.assert_kernels_agree(full)
+        slab = np.zeros((8, 8, 8), dtype=bool)
+        slab[:, :, :3] = True  # fills the z = 0 face and the x/y faces
+        self.assert_kernels_agree(slab)
+        shell = rng.random((7, 7, 7)) < 0.6
+        shell[1:-1, 1:-1, 1:-1] = False  # only the outermost layer
+        self.assert_kernels_agree(shell)
+
+    @pytest.mark.parametrize("nz", [61, 62, 63, 64, 70])
+    def test_identical_on_long_z_extents(self, nz):
+        # Past nz = 61 the row bitsets no longer fit an int64 and are
+        # built from packed bytes instead.
+        rng = np.random.default_rng(nz)
+        self.assert_kernels_agree(rng.random((4, 5, nz)) < 0.5)
+        rod = np.zeros((5, 5, nz), dtype=bool)
+        rod[1:4, 1:4, :] = True  # a rod touching both z faces
+        self.assert_kernels_agree(rod)
+
+    def test_row_mask_matches_neighborhood_mask(self):
         from repro.skeleton.simple_point import neighborhood_mask
-        from repro.skeleton.thinning import pack_volume
+        from repro.skeleton.thinning import _row_bitsets, _row_mask
 
         rng = np.random.default_rng(3)
-        occ = rng.random((6, 5, 7)) < 0.5
-        packed = pack_volume(occ)
-        for x in range(occ.shape[0]):
-            for y in range(occ.shape[1]):
-                for z in range(occ.shape[2]):
-                    assert int(packed[x + 1, y + 1, z + 1]) == neighborhood_mask(
-                        occ, x, y, z
-                    )
+        for shape in [(6, 5, 7), (3, 4, 66)]:  # int64 rows, then wider rows
+            occ = rng.random(shape) < 0.5
+            rows = _row_bitsets(occ)
+            nx, ny, nz = shape
+            w = ny + 2
+            for x in range(nx):
+                for y in range(ny):
+                    for z in range(nz):
+                        mask = _row_mask(rows, (x + 1) * w + y + 1, z, w)
+                        assert mask == neighborhood_mask(occ, x, y, z)
 
 
 class TestSkeletalGraph:

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
-from repro.geometry import box, torus, tube
+from repro.geometry import TriangleMesh, box, torus, tube
 from repro.voxel import (
     VoxelGrid,
     dilate,
@@ -98,6 +100,136 @@ class TestVoxelize:
             voxelize(unit_box, resolution=1)
         with pytest.raises(ValueError):
             voxelize(TriangleMesh([], []), resolution=8)
+
+
+def oracle_sample_count(a, b, c, pitch):
+    longest = max(np.linalg.norm(b - a), np.linalg.norm(c - a), np.linalg.norm(c - b))
+    return max(1, int(np.ceil(longest * 2.0 / pitch)))
+
+
+def voxelize_surface_oracle(mesh, resolution, padding=1):
+    """The per-triangle sampling loop ``voxelize_surface`` batches.
+
+    Returns ``(occupancy, origin, spacing)``; the batched voxelizer must
+    match all three bit for bit.
+    """
+    lo, hi = mesh.bounds()
+    spacing = float((hi - lo).max()) / resolution
+    side = resolution + 2 * padding
+    origin = (lo + hi) / 2.0 - side * spacing / 2.0
+    occ = np.zeros((side, side, side), dtype=bool)
+    for a, b, c in mesh.triangles:
+        e1, e2 = b - a, c - a
+        n = oracle_sample_count(a, b, c, spacing)
+        i, j = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+        keep = (i + j) <= n
+        pts = a + (i[keep] / n)[:, None] * e1 + (j[keep] / n)[:, None] * e2
+        idx = np.floor((pts - origin) / spacing).astype(np.int64)
+        np.clip(idx, 0, side - 1, out=idx)
+        occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+    return occ, origin, spacing
+
+
+def assert_matches_oracle(mesh, resolution, padding=1):
+    occ, origin, spacing = voxelize_surface_oracle(mesh, resolution, padding)
+    grid = voxelize_surface(mesh, resolution=resolution, padding=padding)
+    assert np.array_equal(grid.occupancy, occ)
+    assert np.array_equal(grid.origin, origin)
+    assert grid.spacing == spacing
+
+
+@st.composite
+def triangle_soups(draw):
+    """Random soups mixing generic, zero-area, sliver and near-integer triangles.
+
+    A near-integer triangle's longest edge is ``k * pitch / 2`` for a whole
+    ``k``, so ``longest * 2 / pitch`` is an integer up to rounding; the
+    soup is anchored to the cube [0, size]^3 so the pitch is known before
+    those triangles are placed, and may then be translated as a whole.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    resolution = draw(st.integers(2, 40))
+    size = draw(st.sampled_from([1e-3, 1.0, 7.3, 1e3]))
+    kinds = draw(
+        st.lists(
+            st.sampled_from(["generic", "point", "collinear", "sliver", "near_integer"]),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    pitch = size / resolution
+    tris = [[[0.0, 0.0, 0.0], [size, size, size], [size, size, size]]]
+    for kind in kinds:
+        a, b, c = rng.uniform(0.0, size, (3, 3))
+        if kind == "point":
+            b = c = a
+        elif kind == "collinear":
+            c = a + rng.uniform(0.0, 1.0) * (b - a)
+        elif kind == "sliver":
+            c = a + rng.uniform(0.0, 1.0) * (b - a) + rng.normal(0.0, 1e-9 * size, 3)
+        elif kind == "near_integer":
+            axis_aligned = rng.random() < 0.3
+            w = np.eye(3)[rng.integers(3)] if axis_aligned else rng.normal(size=3)
+            w /= np.linalg.norm(w)
+            half = int(rng.integers(1, resolution + 1)) * pitch / 4
+            mid = np.full(3, size / 2)
+            a, b = mid - half * w, mid + half * w
+            c = mid + rng.uniform(0.0, 0.5) * half * np.cross(w, rng.normal(size=3))
+        tris.append([a, b, c])
+    verts = np.asarray(tris, dtype=np.float64).reshape(-1, 3)
+    if draw(st.booleans()):
+        verts += rng.uniform(-10.0, 10.0, 3) * size
+    faces = np.arange(len(verts)).reshape(-1, 3)
+    return TriangleMesh(verts, faces), resolution
+
+
+class TestSurfaceVoxelizerEquivalence:
+    """The batched surface voxelizer equals the per-triangle loop exactly."""
+
+    @given(soup=triangle_soups(), padding=st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_triangle_oracle(self, soup, padding):
+        mesh, resolution = soup
+        assert_matches_oracle(mesh, resolution, padding)
+
+    @given(soup=triangle_soups())
+    @settings(max_examples=150, deadline=None)
+    def test_sample_counts_match_per_edge_norms(self, soup):
+        # A denser lattice often marks the same voxels, so the counts are
+        # checked directly: a batched edge length is a few ulps off
+        # np.linalg.norm, which must not move any ceil().
+        from repro.voxel.voxelize import _sample_counts
+
+        mesh, resolution = soup
+        lo, hi = mesh.bounds()
+        pitch = float((hi - lo).max()) / resolution
+        expected = [oracle_sample_count(a, b, c, pitch) for a, b, c in mesh.triangles]
+        assert _sample_counts(mesh.triangles, pitch).tolist() == expected
+
+    @pytest.mark.parametrize("resolution", [2, 5, 16, 40])
+    def test_exact_integer_sample_counts(self, resolution):
+        # Pythagorean edges (3-4-5 and 5-12-13, scaled by a power of two)
+        # have exact lengths, so longest * 2 / pitch is an exact integer
+        # whenever the pitch divides evenly.
+        verts = np.array(
+            [[0, 0, 0], [16, 16, 16], [16, 16, 16],
+             [0, 0, 0], [3, 4, 0], [3, 0, 0],
+             [1, 1, 1], [1, 6, 1], [1, 1, 13],
+             [2, 2, 2], [2, 2, 2], [2.5, 2, 2]],
+            dtype=np.float64,
+        ) / 2.0
+        mesh = TriangleMesh(verts, np.arange(12).reshape(4, 3))
+        for padding in (0, 1, 2):
+            assert_matches_oracle(mesh, resolution, padding)
+
+    @pytest.mark.parametrize("resolution", [24, 32])
+    def test_matches_oracle_on_corpus(self, resolution):
+        from repro.datasets.generator import build_corpus, stream_corpus
+
+        meshes = [shape.mesh for shape in build_corpus(7)]
+        meshes += [shape.mesh for batch in stream_corpus(64, seed=7) for shape in batch]
+        for mesh in meshes:
+            assert_matches_oracle(mesh, resolution)
 
 
 class TestMorphology:
