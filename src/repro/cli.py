@@ -153,7 +153,6 @@ def _cmd_build_db(args: argparse.Namespace) -> int:
             workers=args.workers,
             timeout=args.timeout,
             retries=args.retries,
-            pool=args.pool,
         )
         for err in result.errors:
             report.add(
@@ -659,13 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="extra attempts after an extraction timeout or worker crash",
-    )
-    p_build.add_argument(
-        "--pool",
-        choices=["persistent", "fork"],
-        default="persistent",
-        help="timeout-path worker strategy: reusable killable workers "
-        "(persistent) or one process per task (fork)",
     )
     p_build.set_defaults(func=_cmd_build_db)
 

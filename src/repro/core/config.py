@@ -56,10 +56,6 @@ class SystemConfig:
     #: Extra attempts after a worker timeout or crash (transient
     #: failures only; deterministic extraction errors never retry).
     extraction_retries: int = 1
-    #: Timeout-path worker strategy: ``"persistent"`` (default) serves
-    #: tasks from a reusable pool of killable workers, ``"fork"`` spawns
-    #: one process per task.
-    extraction_pool: str = "persistent"
     #: Pre-flight mesh validation during bulk ingestion (NaN vertices,
     #: degenerate faces, ...); invalid meshes are reported, not extracted.
     validate_meshes: bool = True
@@ -98,8 +94,3 @@ class SystemConfig:
             raise ValueError("extraction timeout must be positive")
         if self.extraction_retries < 0:
             raise ValueError("extraction retries must be >= 0")
-        if self.extraction_pool not in ("persistent", "fork"):
-            raise ValueError(
-                "extraction pool must be 'persistent' or 'fork', "
-                f"got {self.extraction_pool!r}"
-            )

@@ -141,7 +141,6 @@ class ThreeDESS:
                 degraded=self.config.degraded_inserts,
                 timeout=self.config.extraction_timeout,
                 retries=self.config.extraction_retries,
-                pool=self.config.extraction_pool,
             )
             self._hierarchies = {}
         return result

@@ -181,7 +181,6 @@ class ShapeDatabase:
         degraded: bool = True,
         timeout: Optional[float] = None,
         retries: int = 1,
-        pool: str = "persistent",
     ) -> BulkInsertResult:
         """Bulk insertion with optional parallel feature extraction.
 
@@ -196,10 +195,8 @@ class ShapeDatabase:
         ``validate`` runs the pre-flight mesh validator, ``degraded``
         keeps partial feature sets (the record is inserted with
         ``metadata["degraded"] = "1"`` plus per-feature failure codes),
-        ``timeout``/``retries`` bound each extraction's wall clock using
-        killable worker processes, and ``pool`` selects the timeout-path
-        strategy (``"persistent"`` reusable workers vs ``"fork"``
-        one-process-per-task).
+        and ``timeout``/``retries`` bound each extraction's wall clock
+        using killable worker processes.
         """
         if self.pipeline is None:
             raise RuntimeError(
@@ -218,7 +215,6 @@ class ShapeDatabase:
             retries=retries,
             validate=validate,
             degraded=degraded,
-            pool=pool,
         )
         metrics = get_registry()
         result = BulkInsertResult()

@@ -7,10 +7,8 @@ harness times the hot paths the system actually runs —
 
 * the **thinning kernel** (vectorized ``batched`` vs the ``reference``
   per-voxel loop, identical-output asserted),
-* **ingestion throughput** (serial vs process-pool extraction at several
+* **ingestion throughput** (serial vs worker-pool extraction at several
   worker counts, identical-database asserted),
-* the **timeout path** (persistent killable-worker pool vs the PR-3
-  fork-per-task strategy, identical-outcome asserted),
 * the **extraction stages** (normalize / voxelize / skeletonize medians,
   straight from the ``repro.obs`` timers),
 * **query latency** (k-NN through the exact vectorized scan),
@@ -46,7 +44,7 @@ from ..search.engine import SearchEngine
 from ..skeleton.thinning import thin
 from ..voxel.voxelize import voxelize
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: Extraction-stage histograms copied from the obs registry into the
 #: report (`median` = p50 over all observations of the serial run).
@@ -210,59 +208,6 @@ def bench_ingestion(
         "parallel": runs,
         "stages": stages,
         "_db": serial_db,  # consumed (and stripped) by run_bench
-    }
-
-
-def bench_timeout_pool(
-    meshes,
-    resolution: int,
-    repeats: int,
-    workers: int = 2,
-    task_timeout: float = 120.0,
-) -> Dict[str, object]:
-    """Deadline-bounded extraction: persistent pool vs fork-per-task.
-
-    Both strategies enforce the same per-task wall clock; the persistent
-    pool amortizes process spawn + pipeline construction across the
-    batch instead of paying them per shape.
-    """
-    from ..features.parallel import ParallelPipeline
-
-    def run_once(strategy: str):
-        pipeline = FeaturePipeline(voxel_resolution=resolution)
-        with ParallelPipeline(
-            pipeline,
-            workers=workers,
-            task_timeout=task_timeout,
-            pool=strategy,
-        ) as par:
-            return par.extract_batch(meshes)
-
-    medians: Dict[str, float] = {}
-    states: Dict[str, object] = {}
-    for strategy in ("fork", "persistent"):
-        outcomes = run_once(strategy)
-        if any(not o.ok for o in outcomes):  # pragma: no cover
-            raise RuntimeError(f"timeout-pool bench failed under {strategy}")
-        states[strategy] = [
-            {k: v.tobytes() for k, v in sorted(o.features.items())}
-            for o in outcomes
-        ]
-        medians[strategy] = _median(
-            _time(lambda s=strategy: run_once(s), repeats)
-        )
-    fork_s, persistent_s = medians["fork"], medians["persistent"]
-    return {
-        "n_shapes": len(meshes),
-        "workers": workers,
-        "task_timeout_s": task_timeout,
-        "repeats": repeats,
-        "fork_s": fork_s,
-        "persistent_s": persistent_s,
-        "speedup_persistent_vs_fork": (
-            fork_s / persistent_s if persistent_s > 0 else float("inf")
-        ),
-        "identical_outcomes": states["fork"] == states["persistent"],
     }
 
 
@@ -631,7 +576,6 @@ def run_bench(
         meshes, names, groups, resolution, worker_counts, repeats=repeats
     )
     db = ingestion.pop("_db")
-    timeout_pool = bench_timeout_pool(meshes, resolution, repeats=repeats)
     query = bench_query(db, repeats=10 if quick else 20)
     service = bench_service(
         db,
@@ -678,7 +622,6 @@ def run_bench(
         },
         "thinning": thinning,
         "ingestion": ingestion,
-        "timeout_pool": timeout_pool,
         "query": query,
         "service": service,
     }
@@ -725,17 +668,6 @@ def format_summary(report: Dict[str, object]) -> str:
             f"({row['shapes_per_s']:.2f} shapes/s, "
             f"{row['speedup_vs_serial']:.2f}x vs serial, "
             f"identical={row['identical_to_serial']})"
-        )
-    pool = report.get("timeout_pool")
-    if pool:
-        lines.append("")
-        lines.append(
-            f"timeout path ({pool['workers']} workers, "
-            f"{pool['n_shapes']} shapes): "
-            f"fork-per-task {pool['fork_s']:.2f} s -> "
-            f"persistent pool {pool['persistent_s']:.2f} s "
-            f"({pool['speedup_persistent_vs_fork']:.2f}x, "
-            f"identical={pool['identical_outcomes']})"
         )
     lines.append("")
     lines.append(

@@ -3,9 +3,9 @@ engine, GIFT-style) with fault isolation.
 
 Extraction — normalization, voxelization, thinning — is embarrassingly
 parallel across shapes: no extractor shares state between meshes, and the
-whole path is deterministic NumPy, so fanning a batch over a process pool
-yields bitwise-identical vectors to the serial loop.  `ParallelPipeline`
-adds what the raw pool does not give:
+whole path is deterministic NumPy, so fanning a batch over worker
+processes yields bitwise-identical vectors to the serial loop.
+`ParallelPipeline` adds what a raw pool does not give:
 
 * **ordered results** — outcomes come back indexed by input position, so
   downstream ID assignment is independent of completion order;
@@ -19,40 +19,38 @@ adds what the raw pool does not give:
 * **degraded-mode extraction** — with ``degraded=True`` a shape whose
   skeletonization (or any feature subset) fails still yields the feature
   vectors that *can* be computed, marked partial via ``failures``;
-* **worker timeouts + bounded retries** — with ``task_timeout`` set, each
-  task runs in a killable worker process; a hung or OOM-killed worker is
-  killed at the deadline and the task retried once on a fresh process
-  (``retries``) before being reported as a failure.  Deterministic
-  failures (any non-retryable :mod:`repro.robust` code) short-circuit
-  the retry budget.  No deadlocked pools, ever;
-* **pool strategies** — ``pool="persistent"`` (default) serves the
-  timeout path from a reusable :class:`repro.jobs.pool.WorkerPool`:
-  long-lived workers fed over pipes, only the offending worker killed
-  and respawned on a deadline.  ``pool="fork"`` keeps the PR-3
-  one-process-per-task behaviour;
+* **worker crash isolation, timeouts + bounded retries** — every
+  parallel batch runs on a :class:`repro.jobs.pool.WorkerPool`:
+  long-lived workers fed over pipes.  A worker that dies mid-task
+  (segfault, OOM kill) is respawned and its task retried (``retries``)
+  before being reported as ``extract.worker_crash``; with
+  ``task_timeout`` set, a task past its deadline has its worker killed
+  and is retried the same way, then reported as ``extract.timeout``.
+  Deterministic failures (any non-retryable :mod:`repro.robust` code)
+  short-circuit the retry budget.  No deadlocked pools, ever;
 * **cache integration** — when the wrapped pipeline is a
   :class:`~repro.features.cache.CachingPipeline`, cached shapes are
   answered in the parent process and only misses are shipped to workers;
   complete worker results are folded back into the cache.
 
-``workers <= 1`` (without a timeout) degrades to an in-process serial loop
-with the same result/ordering/error contract, so callers never branch.
-Setting ``task_timeout`` always uses subprocess isolation — a wall-clock
-budget is only enforceable against a process that can be killed.
+There are exactly two execution paths.  Without a timeout, ``workers <=
+1`` or a single pending mesh runs an in-process serial loop with the same
+result/ordering/error contract, so callers never branch; everything else
+runs on the worker pool.  Setting ``task_timeout`` always uses the pool —
+a wall-clock budget is only enforceable against a process that can be
+killed.
 """
 
 from __future__ import annotations
 
-import time
-import traceback
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geometry.mesh import TriangleMesh
+from ..jobs.pool import WorkerPool
 from ..obs import get_registry
 from ..robust.errors import (
     FailureInfo,
@@ -135,49 +133,20 @@ class ExtractionOutcome:
         return self.ok and bool(self.failures)
 
 
-def _format_error(exc: BaseException) -> str:
-    return "".join(
-        traceback.format_exception_only(type(exc), exc)
-    ).strip()
-
-
-# One pipeline per worker process, built by the pool initializer so the
-# extractor objects are constructed once, not per task.
-_WORKER_PIPELINE: Optional[FeaturePipeline] = None
-_WORKER_DEGRADED: bool = False
-
-
-def _init_worker(spec: PipelineSpec, degraded: bool) -> None:
-    global _WORKER_PIPELINE, _WORKER_DEGRADED
-    _WORKER_PIPELINE = spec.build()
-    _WORKER_DEGRADED = degraded
-    # Worker metrics would shadow the parent's registry; keep them off.
-    get_registry().disable()
-
-
-def _extract_in_worker(
-    task: Tuple[int, TriangleMesh]
-) -> Tuple[
-    int,
-    Optional[Dict[str, np.ndarray]],
-    Dict[str, FailureInfo],
-    Optional[FailureInfo],
-]:
-    index, mesh = task
-    assert _WORKER_PIPELINE is not None, "worker initializer did not run"
-    try:
-        if _WORKER_DEGRADED:
-            features, failures = _WORKER_PIPELINE.extract_partial(mesh)
-        else:
-            features, failures = _WORKER_PIPELINE.extract(mesh), {}
-        return index, features, failures, None
-    except Exception as exc:  # captured per task: one bad mesh != dead batch
-        return index, None, {}, classify_exception(exc)
+def _extract_one(
+    pipeline, mesh: TriangleMesh, degraded: bool
+) -> Tuple[Dict[str, np.ndarray], Dict[str, FailureInfo]]:
+    """``(features, per-feature failures)`` of one mesh: partial
+    extraction in degraded mode (when the pipeline supports it), else
+    full extraction with no failures."""
+    if degraded and hasattr(pipeline, "extract_partial"):
+        return pipeline.extract_partial(mesh)
+    return pipeline.extract(mesh), {}
 
 
 @dataclass(frozen=True)
 class _ExtractionWorkerFactory:
-    """Picklable per-worker initializer for the persistent pool.
+    """Picklable per-worker initializer for the worker pool.
 
     Executed once inside each :class:`~repro.jobs.pool.WorkerPool`
     worker: builds the pipeline (extractor objects constructed once per
@@ -189,49 +158,13 @@ class _ExtractionWorkerFactory:
     degraded: bool
 
     def __call__(self):
-        pipeline = self.spec.build()
-        degraded = self.degraded
-
-        def handle(mesh):
-            if degraded:
-                return pipeline.extract_partial(mesh)
-            return pipeline.extract(mesh), {}
-
-        return handle
-
-
-def _subprocess_extract(spec, degraded, index, mesh, conn) -> None:
-    """Entry point of a killable one-task worker (timeout path)."""
-    try:
-        get_registry().disable()
-        pipeline = spec.build()
-        if degraded:
-            features, failures = pipeline.extract_partial(mesh)
-        else:
-            features, failures = pipeline.extract(mesh), {}
-        conn.send((features, failures, None))
-    except Exception as exc:
-        try:
-            conn.send((None, {}, classify_exception(exc)))
-        # repro-lint: disable=RPL001 -- reply pipe already dead; the
-        except Exception:
-            pass  # parent sees EOF and records a worker crash
-    finally:
-        conn.close()
-
-
-@dataclass
-class _InFlight:
-    """One running one-task worker of the timeout pool."""
-
-    index: int
-    attempt: int
-    proc: object
-    deadline: float
+        return functools.partial(
+            _extract_one, self.spec.build(), degraded=self.degraded
+        )
 
 
 class ParallelPipeline:
-    """Fan mesh -> feature-vector extraction out over a process pool.
+    """Fan mesh -> feature-vector extraction out over worker processes.
 
     Parameters
     ----------
@@ -242,20 +175,15 @@ class ParallelPipeline:
     workers:
         Process count.  ``<= 1`` (default 0) runs serially in-process —
         same outcomes, no pool overhead — unless ``task_timeout`` forces
-        subprocess isolation.
+        subprocess isolation.  The :class:`repro.jobs.pool.WorkerPool`
+        is spawned on the first parallel batch and reused by later ones
+        until :meth:`close`.
     task_timeout:
         Per-task wall-clock budget in seconds.  When set, every task runs
         in a killable worker process that is *killed* at the deadline; a
         timed-out or crashed task is retried ``retries`` times on a fresh
         worker before its outcome is recorded as a failure
         (``extract.timeout`` / ``extract.worker_crash``).
-    pool:
-        Worker strategy for the timeout path.  ``"persistent"``
-        (default) reuses long-lived killable workers from a
-        :class:`repro.jobs.pool.WorkerPool` — W forks per batch instead
-        of one fork per task; only a worker that times out or crashes is
-        killed and respawned.  ``"fork"`` forks one process per task
-        (the PR-3 behaviour).  Ignored without ``task_timeout``.
     retries:
         Extra attempts after a timeout or worker crash (default 1: "one
         retry on a fresh worker").  Deterministic extraction errors
@@ -279,7 +207,6 @@ class ParallelPipeline:
         retries: int = 1,
         validate: bool = False,
         degraded: bool = False,
-        pool: str = "persistent",
     ) -> None:
         if workers < 0:
             raise InvalidParameterError(
@@ -296,22 +223,16 @@ class ParallelPipeline:
                 f"retries must be >= 0, got {retries}",
                 code="usage.bad_retries",
             )
-        if pool not in ("persistent", "fork"):
-            raise InvalidParameterError(
-                f"pool must be 'persistent' or 'fork', got {pool!r}",
-                code="usage.bad_pool",
-            )
         self.pipeline = pipeline
         self.workers = int(workers)
         self.task_timeout = task_timeout
         self.retries = int(retries)
         self.validate = bool(validate)
         self.degraded = bool(degraded)
-        self.pool = pool
-        self._worker_pool = None  # lazy WorkerPool (persistent path)
+        self._worker_pool: Optional[WorkerPool] = None  # spawned lazily
 
     def close(self) -> None:
-        """Shut down the persistent worker pool, if one was spawned.
+        """Shut down the worker pool, if one was spawned.
 
         Safe to call repeatedly; the pool respawns on the next batch.
         """
@@ -365,15 +286,13 @@ class ParallelPipeline:
             pending.append(i)
 
         with metrics.timed("parallel.batch"):
-            if self.task_timeout is not None and pending:
-                if self.pool == "persistent":
-                    self._run_persistent_pool(meshes, pending, outcomes)
-                else:
-                    self._run_timeout_pool(meshes, pending, outcomes)
-            elif self.workers <= 1 or len(pending) <= 1:
-                self._run_serial(meshes, pending, outcomes)
-            else:
+            if pending and (
+                self.task_timeout is not None
+                or (self.workers > 1 and len(pending) > 1)
+            ):
                 self._run_pool(meshes, pending, outcomes)
+            else:
+                self._run_serial(meshes, pending, outcomes)
 
         metrics.inc("parallel.tasks", len(meshes))
         metrics.inc(
@@ -383,14 +302,6 @@ class ParallelPipeline:
         assert all(o is not None for o in outcomes)
         return outcomes  # type: ignore[return-value]
 
-    def _extract_local(
-        self, mesh: TriangleMesh
-    ) -> Tuple[Dict[str, np.ndarray], Dict[str, FailureInfo]]:
-        if self.degraded:
-            if hasattr(self.pipeline, "extract_partial"):
-                return self.pipeline.extract_partial(mesh)
-        return self.pipeline.extract(mesh), {}
-
     def _run_serial(
         self,
         meshes: Sequence[TriangleMesh],
@@ -399,7 +310,9 @@ class ParallelPipeline:
     ) -> None:
         for i in pending:
             try:
-                features, failures = self._extract_local(meshes[i])
+                features, failures = _extract_one(
+                    self.pipeline, meshes[i], self.degraded
+                )
             except Exception as exc:
                 outcomes[i] = ExtractionOutcome.from_failure(
                     i, classify_exception(exc)
@@ -409,22 +322,6 @@ class ParallelPipeline:
                     index=i, features=features, failures=failures
                 )
 
-    def _fold_into_cache(
-        self,
-        cache,
-        mesh: TriangleMesh,
-        features: Dict[str, np.ndarray],
-        failures: Dict[str, FailureInfo],
-    ) -> None:
-        """Record a worker result in the parent-side cache (full results
-        only: a partial set must re-extract next time)."""
-        if cache is None:
-            return
-        cache.misses += 1
-        get_registry().inc("cache.misses")
-        if not failures:
-            cache.remember(mesh, features)
-
     def _run_pool(
         self,
         meshes: Sequence[TriangleMesh],
@@ -432,48 +329,16 @@ class ParallelPipeline:
         outcomes: List[Optional[ExtractionOutcome]],
     ) -> None:
         cache = self.pipeline if hasattr(self.pipeline, "remember") else None
-        spec = PipelineSpec.of(self.pipeline)
-        max_workers = min(self.workers, len(pending))
-        with ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=_init_worker,
-            initargs=(spec, self.degraded),
-        ) as pool:
-            results = pool.map(
-                _extract_in_worker,
-                [(i, meshes[i]) for i in pending],
-                chunksize=max(1, len(pending) // (4 * max_workers)),
-            )
-            for index, features, failures, failure in results:
-                if failure is not None:
-                    outcomes[index] = ExtractionOutcome.from_failure(
-                        index, failure
-                    )
-                    continue
-                outcomes[index] = ExtractionOutcome(
-                    index=index, features=features, failures=failures
-                )
-                self._fold_into_cache(cache, meshes[index], features, failures)
-
-    # -- reusable killable workers (persistent timeout path) ----------
-    def _run_persistent_pool(
-        self,
-        meshes: Sequence[TriangleMesh],
-        pending: Sequence[int],
-        outcomes: List[Optional[ExtractionOutcome]],
-    ) -> None:
-        from ..jobs.pool import WorkerPool
-
-        cache = self.pipeline if hasattr(self.pipeline, "remember") else None
         if self._worker_pool is None:
+            # Sized from ``workers``, not from this batch: the pool is
+            # reused, and ``map`` only forks as many workers as it needs.
             self._worker_pool = WorkerPool(
                 _ExtractionWorkerFactory(
                     PipelineSpec.of(self.pipeline), self.degraded
                 ),
-                workers=max(1, min(self.workers, len(pending))),
+                workers=max(1, self.workers),
                 task_timeout=self.task_timeout,
                 retries=self.retries,
-                name="pool",
             )
         metrics = get_registry()
         results = self._worker_pool.map([meshes[i] for i in pending])
@@ -494,128 +359,10 @@ class ParallelPipeline:
                 failures=failures,
                 attempts=task.attempts,
             )
-            self._fold_into_cache(cache, meshes[i], features, failures)
-
-    # -- killable per-task workers (fork-per-task timeout path) -------
-    def _run_timeout_pool(
-        self,
-        meshes: Sequence[TriangleMesh],
-        pending: Sequence[int],
-        outcomes: List[Optional[ExtractionOutcome]],
-    ) -> None:
-        import multiprocessing as mp
-        from multiprocessing.connection import wait as connection_wait
-
-        ctx = mp.get_context()
-        metrics = get_registry()
-        cache = self.pipeline if hasattr(self.pipeline, "remember") else None
-        spec = PipelineSpec.of(self.pipeline)
-        max_workers = max(1, min(self.workers, len(pending)))
-        max_attempts = 1 + self.retries
-        queue = deque((i, 1) for i in pending)
-        running: Dict[object, _InFlight] = {}
-
-        def reap(task: _InFlight, conn) -> None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-            task.proc.join(timeout=5)
-
-        def retry_or_fail(task: _InFlight, conn, kind: str) -> None:
-            reap(task, conn)
-            if task.attempt < max_attempts:
-                queue.append((task.index, task.attempt + 1))
-                return
-            if kind == "timeout":
-                failure = FailureInfo(
-                    stage="extract",
-                    code="extract.timeout",
-                    message=(
-                        f"extraction timed out after {self.task_timeout:.1f}s "
-                        f"({task.attempt} attempts); worker terminated"
-                    ),
-                )
-            else:
-                exitcode = getattr(task.proc, "exitcode", None)
-                failure = FailureInfo(
-                    stage="extract",
-                    code="extract.worker_crash",
-                    message=(
-                        f"worker process died without reporting "
-                        f"(exit code {exitcode}, {task.attempt} attempts)"
-                    ),
-                )
-            outcomes[task.index] = ExtractionOutcome.from_failure(
-                task.index, failure, attempts=task.attempt
-            )
-
-        try:
-            while queue or running:
-                while queue and len(running) < max_workers:
-                    index, attempt = queue.popleft()
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    proc = ctx.Process(
-                        target=_subprocess_extract,
-                        args=(
-                            spec,
-                            self.degraded,
-                            index,
-                            meshes[index],
-                            child_conn,
-                        ),
-                        daemon=True,
-                    )
-                    proc.start()
-                    child_conn.close()
-                    running[parent_conn] = _InFlight(
-                        index=index,
-                        attempt=attempt,
-                        proc=proc,
-                        deadline=time.monotonic() + float(self.task_timeout),
-                    )
-                now = time.monotonic()
-                wait_for = max(
-                    0.0, min(t.deadline for t in running.values()) - now
-                )
-                ready = connection_wait(list(running), timeout=wait_for)
-                for conn in ready:
-                    task = running.pop(conn)
-                    try:
-                        features, failures, failure = conn.recv()
-                    except (EOFError, OSError):
-                        metrics.inc("robust.worker_crashes")
-                        retry_or_fail(task, conn, kind="crash")
-                        continue
-                    reap(task, conn)
-                    if failure is not None:
-                        outcomes[task.index] = ExtractionOutcome.from_failure(
-                            task.index, failure, attempts=task.attempt
-                        )
-                        continue
-                    outcomes[task.index] = ExtractionOutcome(
-                        index=task.index,
-                        features=features,
-                        failures=failures,
-                        attempts=task.attempt,
-                    )
-                    self._fold_into_cache(
-                        cache, meshes[task.index], features, failures
-                    )
-                now = time.monotonic()
-                expired = [
-                    conn
-                    for conn, task in running.items()
-                    if task.deadline <= now
-                ]
-                for conn in expired:
-                    task = running.pop(conn)
-                    task.proc.terminate()
-                    metrics.inc("robust.worker_timeouts")
-                    retry_or_fail(task, conn, kind="timeout")
-        finally:
-            # Never leak a worker: abandon + kill whatever is still alive
-            # (e.g. when the parent is interrupted mid-batch).
-            for conn, task in running.items():
-                task.proc.terminate()
-                reap(task, conn)
+            # Fold the worker result into the parent-side cache (full
+            # results only: a partial set must re-extract next time).
+            if cache is not None:
+                cache.misses += 1
+                metrics.inc("cache.misses")
+                if not failures:
+                    cache.remember(meshes[i], features)

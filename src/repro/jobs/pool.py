@@ -1,10 +1,9 @@
 """A reusable pool of killable worker processes.
 
-The fault-tolerance layer of PR 3 ran every deadline-bounded extraction
-in its own forked process: correct (a wall-clock budget is only
-enforceable against a process you can kill) but expensive — one fork,
-one pipeline construction, and one teardown *per task*.  This module
-keeps the kill switch and drops the per-task fork:
+A wall-clock budget is only enforceable against a process that can be
+killed, but one fork, one pipeline construction and one teardown *per
+task* is expensive.  This pool keeps the kill switch without the
+per-task fork:
 
 * **long-lived workers** — ``workers`` processes are spawned once, each
   builds its state from a picklable ``factory`` and then serves tasks

@@ -1,7 +1,7 @@
 """Fault-injection helpers shared by the robustness test suite.
 
 Factories for broken meshes (NaN vertices, zero-area faces, collapsed
-bounding boxes), extractors that hang or fail on demand, and byte-level
+bounding boxes), extractors that hang or crash on demand, and byte-level
 corruption of saved database directories.  Kept importable (no pytest
 dependency) so the CI fault-injection job can also drive them directly.
 """
@@ -103,6 +103,39 @@ def register_sleeping_extractor() -> str:
 
     register_extractor(SleepingExtractor.name, SleepingExtractor)
     return SleepingExtractor.name
+
+
+class CrashingExtractor(FeatureExtractor):
+    """Kills its worker process (``os._exit(3)``) on :func:`hanging_mesh`.
+
+    Only outside the process that registered it (see
+    :func:`register_crashing_extractor`): a serial, in-process run never
+    takes the test runner down with it.
+    """
+
+    name = "crashing"
+    dim = 1
+    parent_pid = -1
+
+    def extract(self, context) -> np.ndarray:
+        verts = np.asarray(context.mesh.vertices)
+        extent = float(verts[:, 0].max() - verts[:, 0].min())
+        if abs(extent - HANG_EXTENT) < 1e-9 and os.getpid() != self.parent_pid:
+            os._exit(3)
+        return np.array([extent])
+
+
+def register_crashing_extractor() -> str:
+    """Register :class:`CrashingExtractor`; returns its feature name.
+
+    Records the calling process as the one the extractor never kills;
+    workers inherit the registration (fork start method) with it.
+    """
+    from repro.features.registry import register_extractor
+
+    CrashingExtractor.parent_pid = os.getpid()
+    register_extractor(CrashingExtractor.name, CrashingExtractor)
+    return CrashingExtractor.name
 
 
 def flip_byte(path: os.PathLike, offset: int = -1) -> None:

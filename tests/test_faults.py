@@ -26,6 +26,7 @@ from .faults import (
     good_mesh,
     hanging_mesh,
     nan_vertex_mesh,
+    register_crashing_extractor,
     register_sleeping_extractor,
     write_broken_off,
     zero_area_mesh,
@@ -155,6 +156,27 @@ class TestWorkerTimeout:
         assert not outcomes[0].ok
         assert outcomes[0].attempts == 1
         assert "volume" in outcomes[0].error
+
+
+class TestWorkerCrash:
+    def test_worker_crash_without_timeout_keeps_batch(self):
+        # A worker dying mid-task (segfault, OOM kill) costs that task
+        # its attempts, never the batch -- with or without a deadline.
+        feature = register_crashing_extractor()
+        pipeline = FeaturePipeline(
+            feature_names=["geometric_params", feature],
+            voxel_resolution=RES,
+        )
+        retries = 1
+        with ParallelPipeline(pipeline, workers=2, retries=retries) as par:
+            outcomes = par.extract_batch(
+                [good_mesh(), hanging_mesh(), good_mesh(1.5)]
+            )
+        assert outcomes[0].ok and outcomes[2].ok
+        crashed = outcomes[1]
+        assert not crashed.ok
+        assert crashed.failure.code == "extract.worker_crash"
+        assert crashed.attempts == 1 + retries
 
 
 class TestDegradedExtraction:

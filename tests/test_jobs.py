@@ -18,7 +18,6 @@ from repro.core.system import ThreeDESS
 from repro.db.database import ShapeDatabase
 from repro.db.storage import verify_database
 from repro.features.pipeline import FeaturePipeline
-from repro.features.parallel import ParallelPipeline
 from repro.jobs import (
     RE_EXTRACT,
     JobQueue,
@@ -488,30 +487,6 @@ class TestVerifyCli:
 
 
 class TestPersistentPoolIngestion:
-    def test_pool_strategies_equivalent(self):
-        feature = register_sleeping_extractor()
-        meshes = [good_mesh(), hanging_mesh(), good_mesh(1.5)]
-        outcomes = {}
-        for strategy in ("persistent", "fork"):
-            pipeline = FeaturePipeline(
-                feature_names=["geometric_params", feature],
-                voxel_resolution=RES,
-            )
-            with ParallelPipeline(
-                pipeline, workers=2, task_timeout=2.0, retries=1,
-                pool=strategy,
-            ) as par:
-                outcomes[strategy] = par.extract_batch(meshes)
-        for a, b in zip(outcomes["persistent"], outcomes["fork"]):
-            assert a.ok == b.ok
-            if a.ok:
-                assert sorted(a.features) == sorted(b.features)
-                for fname in a.features:
-                    np.testing.assert_allclose(a.features[fname], b.features[fname])
-            else:
-                assert a.failure.code == b.failure.code == "extract.timeout"
-                assert a.attempts == b.attempts == 2
-
     def test_insert_meshes_persistent_pool(self):
         feature = register_sleeping_extractor()
         pipeline = FeaturePipeline(
@@ -525,14 +500,6 @@ class TestPersistentPoolIngestion:
             timeout=2.0,
             retries=0,
             degraded=False,
-            pool="persistent",
         )
         assert result.shape_ids == [1, None]
         assert result.errors[0].code == "extract.timeout"
-
-    def test_invalid_pool_rejected(self):
-        pipeline = FeaturePipeline(voxel_resolution=RES)
-        with pytest.raises(ValueError, match="pool"):
-            ParallelPipeline(pipeline, pool="magic")
-        with pytest.raises(ValueError, match="pool"):
-            SystemConfig(extraction_pool="magic").validate()

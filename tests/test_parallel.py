@@ -67,12 +67,23 @@ class TestParallelDeterminism:
         assert result.shape_ids == [1, 2, 3, 4]
 
     def test_outcomes_ordered_by_input_index(self):
-        parallel = ParallelPipeline(
+        with ParallelPipeline(
             FeaturePipeline(voxel_resolution=RES), workers=2
-        )
-        outcomes = parallel.extract_batch(small_meshes())
+        ) as parallel:
+            outcomes = parallel.extract_batch(small_meshes())
         assert [o.index for o in outcomes] == [0, 1, 2, 3]
         assert all(o.ok for o in outcomes)
+
+    def test_pool_sized_from_workers_not_first_batch(self):
+        # A one-mesh first batch must not shrink the reused pool: the
+        # next, larger batch still gets every configured worker.
+        meshes = small_meshes()
+        with ParallelPipeline(
+            FeaturePipeline(voxel_resolution=RES), workers=2, task_timeout=60.0
+        ) as parallel:
+            assert parallel.extract_batch(meshes[:1])[0].ok
+            assert all(o.ok for o in parallel.extract_batch(meshes))
+            assert parallel._worker_pool.alive_workers == 2
 
     def test_spec_roundtrip(self):
         pipeline = FeaturePipeline(voxel_resolution=10, prune_spur_length=2)
@@ -85,6 +96,36 @@ class TestParallelDeterminism:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             ParallelPipeline(FeaturePipeline(voxel_resolution=RES), workers=-1)
+
+
+class TestExecutionPathEquivalence:
+    @pytest.mark.parametrize("degraded", [True, False])
+    def test_serial_pool_and_timeout_pool_identical(self, degraded):
+        meshes = small_meshes() + [flat_mesh()]
+
+        def run(**kwargs):
+            with ParallelPipeline(
+                FeaturePipeline(voxel_resolution=RES),
+                degraded=degraded,
+                **kwargs,
+            ) as parallel:
+                return parallel.extract_batch(meshes)
+
+        serial = run(workers=0)
+        assert [o.ok for o in serial] == [True, True, True, True, False]
+        for outcomes in (run(workers=2), run(workers=2, task_timeout=60.0)):
+            assert [o.ok for o in outcomes] == [o.ok for o in serial]
+            for a, b in zip(serial, outcomes):
+                if a.ok:
+                    assert sorted(a.features) == sorted(b.features)
+                    for fname, vec in a.features.items():
+                        assert vec.tobytes() == b.features[fname].tobytes()
+                        assert vec.dtype == b.features[fname].dtype
+                    assert {k: f.code for k, f in a.failures.items()} == {
+                        k: f.code for k, f in b.failures.items()
+                    }
+                else:
+                    assert a.failure.code == b.failure.code
 
 
 class TestWorkerFailureIsolation:
